@@ -1,31 +1,43 @@
 """Dense linear algebra over GF(2) with machine-word packed rows.
 
 Matrices are stored row-major, 64 columns to a ``uint64`` word, least
-significant bit first.  Elimination routines work on the packed form and
-process pivot columns in 64-wide stripes with byte-table batched row
-updates, which keeps the cost of the big streaming-decoder solves in the
-tens of milliseconds.
+significant bit first.  Everything rests on two routines:
+
+* :func:`mul`, the one dense product of 0/1 arrays; ``BitMatrix @`` and
+  every layer-map product of the codec go through it.
+* ``_reduce``, which runs the packed forward elimination (pivot columns in
+  64-wide stripes with byte-table batched row updates, after M4RI) and then
+  clears the entries above each pivot.  :func:`rref`, :func:`solve`,
+  :func:`solve_unique`, :func:`invert`, :func:`independent_rows` and
+  :class:`PrefactoredSolver` are thin front-ends over it; :func:`rank` needs
+  the forward pass only.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "BitMatrix",
     "BitVector",
+    "mul",
     "rank",
     "rref",
     "solve",
+    "solve_unique",
     "invert",
     "independent_rows",
 ]
 
 _ONE = np.uint64(1)
 _BYTE = np.uint64(0xFF)
+# multiply-adds at which a float32 BLAS product overtakes the uint8 loop
+_BLAS_MIN_OPS = 1 << 12
+# float32 holds every integer below this, so shorter dot products are exact
+_FLOAT32_EXACT = 1 << 24
 
 
 def _n_words(cols: int) -> int:
@@ -49,6 +61,23 @@ def _unpack_bits(words: np.ndarray, cols: int) -> np.ndarray:
         return np.zeros((rows, 0), np.uint8)
     as_bytes = words.view(np.uint8)
     return np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :cols]
+
+
+def mul(a, b) -> np.ndarray:
+    """GF(2) product of 0/1 arrays: ``(..., k) @ (k, m)`` as uint8 bits.
+
+    Small products use a uint8 matmul (wrap-around mod 256 keeps the
+    parity); large ones use float32 BLAS, which is exact only while the
+    inner dimension stays below 2**24, so longer ones stay on uint8.
+    """
+    a = np.asarray(a, np.uint8)
+    b = np.asarray(b, np.uint8)
+    k = b.shape[0]
+    if a.size * b.shape[1] < _BLAS_MIN_OPS or k >= _FLOAT32_EXACT:
+        return (a @ b) & 1
+    prod = a.reshape(-1, k).astype(np.float32) @ b.astype(np.float32)
+    bits = (prod.astype(np.int32) & 1).astype(np.uint8)
+    return bits.reshape(a.shape[:-1] + (b.shape[1],))
 
 
 class BitMatrix:
@@ -108,16 +137,6 @@ class BitMatrix:
         """Return a (rows, cols) uint8 array of the matrix entries."""
         return _unpack_bits(self.words, self.cols)
 
-    def bit(self, i: int, j: int) -> int:
-        return int((self.words[i, j >> 6] >> np.uint64(j & 63)) & _ONE)
-
-    def set_bit(self, i: int, j: int, value: int) -> None:
-        mask = _ONE << np.uint64(j & 63)
-        if value & 1:
-            self.words[i, j >> 6] |= mask
-        else:
-            self.words[i, j >> 6] &= ~mask
-
     def is_zero(self) -> bool:
         return not self.words.any()
 
@@ -149,23 +168,7 @@ class BitMatrix:
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
-        if self.rows == 0 or other.cols == 0:
-            return BitMatrix(self.rows, other.cols)
-        if self.cols == 0:
-            return BitMatrix.zeros(self.rows, other.cols)
-        # Small products go through a dense integer matmul; large ones use
-        # packed AND + popcount against the transposed right factor.
-        if self.rows * self.cols * other.cols <= (1 << 22):
-            prod = (
-                self.to_bits().astype(np.int64) @ other.to_bits().astype(np.int64)
-            ) & 1
-            return BitMatrix.from_bits(prod)
-        bt = other.transpose()
-        out = np.zeros((self.rows, other.cols), np.uint8)
-        for i in range(self.rows):
-            anded = bt.words & self.words[i]
-            out[i] = (np.bitwise_count(anded).sum(axis=1) & 1).astype(np.uint8)
-        return BitMatrix.from_bits(out)
+        return BitMatrix.from_bits(mul(self.to_bits(), other.to_bits()))
 
     def mul_vec(self, vec: "BitVector") -> "BitVector":
         """Matrix-vector product over GF(2)."""
@@ -214,13 +217,6 @@ class BitMatrix:
         return cls.from_json(json.loads(text))
 
 
-def hstack(mats: Sequence[BitMatrix]) -> BitMatrix:
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise ValueError("row count mismatch")
-    return BitMatrix.from_bits(np.concatenate([m.to_bits() for m in mats], axis=1))
-
-
 def vstack(mats: Sequence[BitMatrix]) -> BitMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
@@ -248,17 +244,8 @@ class BitVector:
         arr = np.asarray(bits, dtype=np.uint8).ravel() & 1
         return cls(arr.size, _pack_bits(arr[None, :])[0])
 
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "BitVector":
-        if n == 0:
-            return cls(0)
-        return cls.from_bits(rng.integers(0, 2, n, dtype=np.uint8))
-
     def to_bits(self) -> np.ndarray:
         return _unpack_bits(self.words[None, :], self.n)[0]
-
-    def bit(self, i: int) -> int:
-        return int((self.words[i >> 6] >> np.uint64(i & 63)) & _ONE)
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.n != other.n:
@@ -292,13 +279,6 @@ class BitVector:
         if int(np.bitwise_count(vec.words).sum()) != int(vec.to_bits().sum()):
             raise ValueError("stray bits beyond payload length")
         return vec
-
-
-def concat_vecs(vecs: Iterable[BitVector]) -> BitVector:
-    parts = [v.to_bits() for v in vecs]
-    if not parts:
-        return BitVector.zeros(0)
-    return BitVector.from_bits(np.concatenate(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -406,54 +386,37 @@ def _forward_eliminate(words: np.ndarray, n_cols: int, max_cols: int | None = No
     return rank, pivot_cols
 
 
-def _back_substitute(
-    words: np.ndarray, pivot_cols: list[int], n_cols: int, rhs_cols: int
-) -> np.ndarray:
-    """Solve the echelon system for the appended RHS columns (free vars 0).
+def _reduce(words: np.ndarray, n_cols: int, max_cols: int | None = None):
+    """In-place reduced row-echelon form, pivots taken in the first
+    ``max_cols`` columns: forward elimination, then the entries above each
+    pivot are cleared.  Returns (rank, pivot_columns)."""
+    r, pivots = _forward_eliminate(words, n_cols, max_cols)
+    for k, c in enumerate(pivots):
+        wi, bi = c >> 6, np.uint64(c & 63)
+        idx = np.nonzero((words[:k, wi] >> bi) & _ONE)[0]
+        if idx.size:
+            words[idx] ^= words[k]
+    return r, pivots
 
-    ``words`` holds [A | B] in echelon form with ``len(pivot_cols)`` pivot
-    rows on top; returns X (n_cols x rhs_cols, uint8) with A X = B.
+
+def _reduce_augmented(a: BitMatrix, rhs: np.ndarray):
+    """Reduce ``[A | rhs]`` with pivots in A's columns only.
+
+    Returns (rank, pivots, reduced rhs bits): the first ``rank`` rows of the
+    rhs part belong to the pivot rows, the rest must vanish for A X = rhs to
+    be consistent.
     """
-    rank = len(pivot_cols)
-    b = _unpack_bits(words[:rank], n_cols + rhs_cols)[:, n_cols:].copy()
-    x = np.zeros((n_cols, rhs_cols), np.uint8)
-    if rank == 0:
-        return x
-    # group pivots by the word their column lives in and sweep right to left;
-    # each group does a tiny in-word triangular solve, then one masked
-    # popcount per RHS column folds its contribution into the rows above
-    groups: list[tuple[int, int, int]] = []  # (word index, k_lo, k_hi)
-    k = 0
-    while k < rank:
-        wi = pivot_cols[k] >> 6
-        k_hi = k
-        while k_hi < rank and (pivot_cols[k_hi] >> 6) == wi:
-            k_hi += 1
-        groups.append((wi, k, k_hi))
-        k = k_hi
-    for wi, k_lo, k_hi in reversed(groups):
-        gcol = words[:k_hi, wi]
-        rows_int = [int(v) for v in gcol[k_lo:k_hi]]
-        for j in range(rhs_cols):
-            xmask = 0
-            for k in range(k_hi - 1, k_lo - 1, -1):
-                c = pivot_cols[k]
-                val = int(b[k, j]) ^ ((rows_int[k - k_lo] & xmask).bit_count() & 1)
-                if val:
-                    xmask |= 1 << (c & 63)
-                    x[c, j] = 1
-            if xmask and k_lo:
-                xm = np.uint64(xmask)
-                b[:k_lo, j] ^= (np.bitwise_count(gcol[:k_lo] & xm) & np.uint8(1)).astype(
-                    np.uint8
-                )
-    return x
+    if a.rows != rhs.shape[0]:
+        raise ValueError("row count mismatch")
+    cols = a.cols + rhs.shape[1]
+    w = _pack_bits(np.concatenate([a.to_bits(), rhs], axis=1))
+    r, pivots = _reduce(w, cols, max_cols=a.cols)
+    return r, pivots, _unpack_bits(w, cols)[:, a.cols :]
 
 
 def rank(m: BitMatrix) -> int:
     """Matrix rank over GF(2)."""
-    w = m.words.copy()
-    r, _ = _forward_eliminate(w, m.cols)
+    r, _ = _forward_eliminate(m.words.copy(), m.cols)
     return r
 
 
@@ -465,16 +428,19 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
         of pivot column indices, one per nonzero row of R.
     """
     w = m.words.copy()
-    r, pivots = _forward_eliminate(w, m.cols)
-    # clear entries above every pivot
-    for k in range(r):
-        c = pivots[k]
-        wi, bi = c >> 6, np.uint64(c & 63)
-        colbits = (w[:k, wi] >> bi) & _ONE
-        idx = np.nonzero(colbits)[0]
-        if idx.size:
-            w[idx] ^= w[k]
+    _, pivots = _reduce(w, m.cols)
     return BitMatrix(m.rows, m.cols, w), tuple(pivots)
+
+
+def _solve(a: BitMatrix, b: BitMatrix, unique: bool) -> BitMatrix:
+    r, pivots, rhs = _reduce_augmented(a, b.to_bits())
+    if unique and r < a.cols:
+        raise ValueError("underdetermined")
+    if rhs[r:].any():
+        raise ValueError("inconsistent system")
+    x = np.zeros((a.cols, b.cols), np.uint8)
+    x[np.asarray(pivots, np.intp)] = rhs[:r]
+    return BitMatrix.from_bits(x)
 
 
 def solve(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -490,24 +456,7 @@ def solve(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     Raises:
         ValueError: If the system is inconsistent.
     """
-    if a.rows != b.rows:
-        raise ValueError("row count mismatch")
-    aug = hstack([a, b]) if a.cols and b.cols else None
-    if aug is None:
-        if a.cols == 0:
-            # only the zero map is available; B must be zero
-            if not b.is_zero():
-                raise ValueError("inconsistent system")
-            return BitMatrix.zeros(0, b.cols)
-        return BitMatrix.zeros(a.cols, 0)
-    w = aug.words.copy()
-    r, pivots = _forward_eliminate(w, aug.cols, max_cols=a.cols)
-    # any leftover row must not constrain the RHS
-    tail = _unpack_bits(w[r:], aug.cols)
-    if tail[:, a.cols :].any():
-        raise ValueError("inconsistent system")
-    x = _back_substitute(w, pivots, a.cols, b.cols)
-    return BitMatrix.from_bits(x)
+    return _solve(a, b, unique=False)
 
 
 def solve_unique(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -520,55 +469,36 @@ def solve_unique(a: BitMatrix, b: BitMatrix) -> BitMatrix:
         ValueError: "underdetermined" if A is column-rank deficient,
             "inconsistent system" if no solution exists.
     """
-    if a.rows != b.rows:
-        raise ValueError("row count mismatch")
-    if a.cols == 0:
-        if not b.is_zero():
-            raise ValueError("inconsistent system")
-        return BitMatrix.zeros(0, b.cols)
-    if a.rows < a.cols:
-        raise ValueError("underdetermined")
-    aug = hstack([a, b]) if b.cols else a
-    w = aug.words.copy()
-    r, pivots = _forward_eliminate(w, aug.cols, max_cols=a.cols)
-    if len(pivots) < a.cols:
-        raise ValueError("underdetermined")
-    tail = _unpack_bits(w[r:], aug.cols)
-    if tail[:, a.cols :].any():
-        raise ValueError("inconsistent system")
-    x = _back_substitute(w, pivots, a.cols, b.cols)
-    return BitMatrix.from_bits(x)
+    return _solve(a, b, unique=True)
+
+
+def invert(m: BitMatrix) -> BitMatrix:
+    """Inverse of a square matrix; raises ValueError("singular") otherwise."""
+    if m.rows != m.cols:
+        raise ValueError("singular")
+    try:
+        return solve_unique(m, BitMatrix.identity(m.rows))
+    except ValueError:
+        raise ValueError("singular") from None
 
 
 class PrefactoredSolver:
     """Reusable unique-solution solver for a fixed coefficient matrix.
 
-    Eliminating ``[A | I]`` once splits the row operations into a solve
-    map S (x = S b when A has full column rank) and a residual map C
-    (C b == 0 exactly when the system is consistent), so every further
-    right-hand side costs two packed matrix-vector products instead of
-    a fresh elimination.
+    Reducing ``[A | I]`` once (the same eliminate-and-reduce core as
+    :func:`solve`) records the row operations: the rows of I beside A's
+    pivot rows form the solve map S (x = S b when A has full column rank),
+    the rows below the rank form the residual map C (C b == 0 exactly when
+    the system is consistent).  Every further right-hand side costs two
+    packed matrix-vector products instead of a fresh elimination.
     """
 
     __slots__ = ("rows", "cols", "rank", "_solve_map", "_check_map")
 
     def __init__(self, a: BitMatrix) -> None:
         self.rows, self.cols = a.rows, a.cols
-        ident = BitMatrix.identity(a.rows)
-        aug = hstack([a, ident]) if a.cols else ident
-        w = aug.words.copy()
-        r, pivots = _forward_eliminate(w, aug.cols, max_cols=a.cols)
-        # clear above the pivots: with full column rank the A-part of the
-        # pivot rows becomes the identity and the I-part is the solve map
-        for k in range(r):
-            c = pivots[k]
-            wi, bi = c >> 6, np.uint64(c & 63)
-            colbits = (w[:k, wi] >> bi) & _ONE
-            idx = np.nonzero(colbits)[0]
-            if idx.size:
-                w[idx] ^= w[k]
+        r, _, ops = _reduce_augmented(a, np.eye(a.rows, dtype=np.uint8))
         self.rank = r
-        ops = _unpack_bits(w, aug.cols)[:, a.cols :]
         self._solve_map = BitMatrix.from_bits(ops[:r])
         self._check_map = BitMatrix.from_bits(ops[r:])
 
@@ -596,23 +526,12 @@ class PrefactoredSolver:
         return self._solve_map.mul_vec(vec).to_bits()
 
 
-def invert(m: BitMatrix) -> BitMatrix:
-    """Inverse of a square matrix; raises ValueError("singular") otherwise."""
-    if m.rows != m.cols:
-        raise ValueError("singular")
-    if m.rows == 0:
-        return BitMatrix.zeros(0, 0)
-    aug = hstack([m, BitMatrix.identity(m.rows)])
-    w = aug.words.copy()
-    r, pivots = _forward_eliminate(w, aug.cols, max_cols=m.cols)
-    if r < m.rows:
-        raise ValueError("singular")
-    x = _back_substitute(w, pivots, m.cols, m.rows)
-    return BitMatrix.from_bits(x)
-
-
 def independent_rows(m: BitMatrix) -> tuple[np.ndarray, BitMatrix]:
     """Split rows into a maximal independent prefix and their dependents.
+
+    Reducing the transpose does it: its pivot columns are the independent
+    rows, and each non-pivot column of the reduced form lists the
+    independent rows that sum to that dependent row.
 
     Returns:
         (perm, V): ``perm`` lists row indices, independent rows first (in
@@ -620,40 +539,8 @@ def independent_rows(m: BitMatrix) -> tuple[np.ndarray, BitMatrix]:
         (num_dependent x num_independent) matrix with
         ``M[dependent] = V @ M[independent]``.
     """
-    bits = m.to_bits()
-    nrows = m.rows
-    basis_vecs: list[np.ndarray] = []
-    basis_expr: list[np.ndarray] = []
-    lead: dict[int, int] = {}
-    indep: list[int] = []
-    dep: list[int] = []
-    dep_expr: list[np.ndarray] = []
-    for r in range(nrows):
-        v = bits[r].copy()
-        expr = np.zeros(nrows, np.uint8)
-        while True:
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:
-                dep.append(r)
-                dep_expr.append(expr)
-                break
-            l = int(nz[0])
-            hit = lead.get(l)
-            if hit is None:
-                k = len(indep)
-                expr = expr.copy()
-                expr[k] ^= 1
-                lead[l] = len(basis_vecs)
-                basis_vecs.append(v)
-                basis_expr.append(expr)
-                indep.append(r)
-                break
-            v = v ^ basis_vecs[hit]
-            expr = expr ^ basis_expr[hit]
-    n_ind = len(indep)
-    if dep:
-        vmat = np.stack([e[:n_ind] for e in dep_expr])
-    else:
-        vmat = np.zeros((0, n_ind), np.uint8)
-    perm = np.array(indep + dep, dtype=np.int64)
-    return perm, BitMatrix.from_bits(vmat)
+    reduced, pivots = rref(m.transpose())
+    dependent = np.setdiff1d(np.arange(m.rows), pivots)
+    perm = np.concatenate([np.asarray(pivots, np.int64), dependent])
+    v = reduced.to_bits()[: len(pivots), dependent].T
+    return perm, BitMatrix.from_bits(v)

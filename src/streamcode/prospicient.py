@@ -61,9 +61,7 @@ class _Plan:
         key = (hi, lo)
         got = self._prods.get(key)
         if got is None:
-            got = (
-                self._rbits[hi].astype(np.int32) @ self.prod(hi - 1, lo) & 1
-            ).astype(np.uint8)
+            got = gf2.mul(self._rbits[hi], self.prod(hi - 1, lo))
             self._prods[key] = got
         return got
 
@@ -72,7 +70,7 @@ class _Plan:
         n = layers[0].shape[0]
         out = [np.zeros((n, self.widths[0]), np.uint8)]
         for j in range(1, self.spec.K + 1):
-            out.append((layers[j - 1] @ self._rbits[j].T) & 1)
+            out.append(gf2.mul(layers[j - 1], self._rbits[j].T))
         return out
 
 
@@ -123,7 +121,7 @@ def _rearrange(plan: _Plan, symbol: Sequence[np.ndarray]) -> CodewordBlock:
             raise InvalidInput("symbol layer widths do not match the spec")
     parts = [layers[0]]
     for k in range(1, plan.B + 1):
-        parts.append((layers[k] @ plan.prod(plan.W + k, k).T) & 1)
+        parts.append(gf2.mul(layers[k], plan.prod(plan.W + k, k).T))
     return CodewordBlock(tuple(parts))
 
 
@@ -402,9 +400,9 @@ def _steady_decode(
     det = plan.advance(prev)
     base = np.zeros((n, plan.r0), np.uint8)
     for k in range(1, plan.B + 1):
-        base[:, plan.offs[k] : plan.offs[k + 1]] = (
-            det[k] @ plan.prod(plan.W + k, k).T
-        ) & 1
+        base[:, plan.offs[k] : plan.offs[k + 1]] = gf2.mul(
+            det[k], plan.prod(plan.W + k, k).T
+        )
     rhs = packet ^ bincode.hash_vec(t, base)
     # the coefficient matrix depends only on (code, t), so its elimination
     # is cached and repeat visits cost one matrix-vector product
@@ -464,15 +462,15 @@ def _deadline_decode(
             b = tau - k  # time whose innovation feeds this part
             if b < j0:
                 src = pre[k - (tau - j0 + 1)]
-                base[:, plan.offs[k] : plan.offs[k + 1]] = (
-                    src @ plan.prod(W + k, k - (tau - j0 + 1)).T
-                ) & 1
+                base[:, plan.offs[k] : plan.offs[k + 1]] = gf2.mul(
+                    src, plan.prod(W + k, k - (tau - j0 + 1)).T
+                )
         rhs_parts.append(state.buffered[i] ^ bincode.hash_vec(tau, base))
         if m_parts is None:
             continue
         h3 = bincode.matrix(tau).reshape(rows, n, plan.r0)
-        acc = np.zeros((rows, zdim), np.int32)
-        acc[:, n * zoffs[i] : n * zoffs[i + 1]] += h3[:, :, :n0].reshape(rows, n * n0)
+        acc = np.zeros((rows, zdim), np.uint8)
+        acc[:, n * zoffs[i] : n * zoffs[i + 1]] ^= h3[:, :, :n0].reshape(rows, n * n0)
         for k in range(1, B + 1):
             if plan.part_widths[k] == 0:
                 continue
@@ -480,15 +478,15 @@ def _deadline_decode(
             b = tau - k
             if b >= burst_end:
                 blk = b - burst_end
-                coef = plan.prod(W + k, 0).astype(np.int32)
+                coef = plan.prod(W + k, 0)
             elif b >= j0:
                 blk = W + 1 + (burst_end - b) - 1
-                coef = plan.prod(W + k, W + burst_end - b).astype(np.int32)
+                coef = plan.prod(W + k, W + burst_end - b)
             else:
                 continue
-            contrib = np.einsum("rnk,kc->rnc", h3[:, :, sl], coef)
-            acc[:, n * zoffs[blk] : n * zoffs[blk + 1]] += contrib.reshape(rows, -1)
-        m_parts.append((acc & 1).astype(np.uint8))
+            contrib = gf2.mul(h3[:, :, sl], coef)
+            acc[:, n * zoffs[blk] : n * zoffs[blk + 1]] ^= contrib.reshape(rows, -1)
+        m_parts.append(acc)
     if solver is None:
         solver = gf2.PrefactoredSolver(
             gf2.BitMatrix.from_bits(np.concatenate(m_parts))
@@ -514,13 +512,13 @@ def _assemble(
     layers: list = [None] * (K + 1)
     layers[0] = np.asarray(innovations[-1], np.uint8)
     for j in range(1, min(W, K) + 1):
-        layers[j] = (np.asarray(innovations[-1 - j], np.uint8) @ plan.prod(j, 0).T) & 1
+        layers[j] = gf2.mul(innovations[-1 - j], plan.prod(j, 0).T)
     for k, part in enumerate(deep_parts, start=1):
         layers[W + k] = np.asarray(part, np.uint8)
     if anchor is not None:
         src, delta = anchor
         for j in range(W + len(deep_parts) + 1, K + 1):
-            layers[j] = (np.asarray(src[j - delta], np.uint8) @ plan.prod(j, j - delta).T) & 1
+            layers[j] = gf2.mul(src[j - delta], plan.prod(j, j - delta).T)
     assert all(l is not None for l in layers), "missing reconstruction dependency"
     return layers
 

@@ -142,13 +142,6 @@ class StreamTrace:
         return self.tail[j][t + self.tail_depth]
 
 
-def _mul_layers(bits: np.ndarray, m: gf2.BitMatrix) -> np.ndarray:
-    """Apply a GF(2) map to the trailing axis of a (..., cols) bit array."""
-    if m.rows == 0 or m.cols == 0:
-        return np.zeros(bits.shape[:-1] + (m.rows,), np.uint8)
-    return (bits @ m.to_bits().T) & 1
-
-
 def gen_diagonal(
     spec: DiagonalSourceSpec, n: int, T: int, seed: int, tail_depth: int | None = None
 ) -> StreamTrace:
@@ -172,7 +165,7 @@ def gen_diagonal(
     sub: list[np.ndarray] = []
     tail: list[np.ndarray] = []
     for j in range(K + 1):
-        mapped = _mul_layers(innov[pre - depth - j : len(innov) - j], spec.composed(j))
+        mapped = gf2.mul(innov[pre - depth - j : len(innov) - j], spec.composed(j).to_bits().T)
         tail.append(mapped[:depth])
         sub.append(mapped[depth:])
     return StreamTrace(
@@ -199,8 +192,9 @@ def gen_semidet(
     s0 = rng.integers(0, 2, (total, n, spec.N0), dtype=np.uint8)
     sd = np.zeros((total, n, spec.Nd), np.uint8)
     sd[0] = rng.integers(0, 2, (n, spec.Nd), dtype=np.uint8)
+    a_t, b_t = spec.A.to_bits().T, spec.B.to_bits().T
     for t in range(1, total):
-        sd[t] = _mul_layers(s0[t - 1], spec.A) ^ _mul_layers(sd[t - 1], spec.B)
+        sd[t] = gf2.mul(s0[t - 1], a_t) ^ gf2.mul(sd[t - 1], b_t)
     return StreamTrace(
         kind="semidet",
         n=n,

@@ -22,15 +22,6 @@ from .errors import InvalidInput, InvariantViolation
 from .sources import DiagonalSourceSpec, SemiDetSpec, StreamTrace
 
 
-def _bits(m: gf2.BitMatrix) -> np.ndarray:
-    return m.to_bits().astype(np.uint8)
-
-
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense matrix product over GF(2); int32 accumulation avoids overflow."""
-    return ((a.astype(np.int32) @ b.astype(np.int32)) & 1).astype(np.uint8)
-
-
 def _offsets(widths) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(widths, dtype=np.int64)))
 
@@ -79,7 +70,7 @@ class UpperTriSpec:
         cols = _offsets(self.widths)
         out = np.zeros((self.det_width, cols[-1]), np.uint8)
         for (j, k), m in self.blocks.items():
-            out[rows[j - 1] : rows[j], cols[k] : cols[k + 1]] = _bits(m)
+            out[rows[j - 1] : rows[j], cols[k] : cols[k + 1]] = m.to_bits()
         return out
 
     def validate(self) -> None:
@@ -152,11 +143,11 @@ class DropPlan:
         time, given its value at the anchor: successive powers of the
         self-map applied to ``initial`` (shape (n, width))."""
         initial = np.asarray(initial, np.uint8)
-        sq_t = _bits(self.square).T
+        sq_t = self.square.to_bits().T
         out = np.empty((count, *initial.shape), np.uint8)
         cur = initial
         for t in range(count):
-            cur = _mm(cur, sq_t)
+            cur = gf2.mul(cur, sq_t)
             out[t] = cur
         return out
 
@@ -169,12 +160,12 @@ class DropPlan:
         w = np.empty((steps, n, self.width), np.uint8)
         u = np.zeros((steps, n, kept), np.uint8)
         w[0] = anchor
-        sq_t = _bits(self.square).T
-        sub_t = _bits(self.sub).T
-        coup_t = _bits(self.coupling).T
+        sq_t = self.square.to_bits().T
+        sub_t = self.sub.to_bits().T
+        coup_t = self.coupling.to_bits().T
         for t in range(1, steps):
-            w[t] = _mm(w[t - 1], sq_t)
-            u[t] = _mm(u[t - 1], sub_t) ^ _mm(w[t - 1], coup_t)
+            w[t] = gf2.mul(w[t - 1], sq_t)
+            u[t] = gf2.mul(u[t - 1], sub_t) ^ gf2.mul(w[t - 1], coup_t)
         return w, u
 
     def to_json(self) -> dict:
@@ -267,7 +258,7 @@ def case1_transform(spec: SemiDetSpec) -> tuple[LinearMap, DiagonalSourceSpec]:
     x = gf2.solve(spec.A, spec.B)
     total = spec.N0 + spec.Nd
     m = np.eye(total, dtype=np.uint8)
-    m[: spec.N0, spec.N0 :] = _bits(x)
+    m[: spec.N0, spec.N0 :] = x.to_bits()
     out = DiagonalSourceSpec(widths=(spec.N0, spec.Nd), R=(spec.A,))
     return (
         LinearMap(gf2.BitMatrix.from_bits(m), (spec.N0, spec.Nd), (spec.N0, spec.Nd)),
@@ -286,8 +277,8 @@ def lf_transform(spec: SemiDetSpec) -> tuple[LinearMap, UpperTriSpec]:
     the residual dependence is full row rank or vanishes entirely.
     """
     n0, nd = spec.N0, spec.Nd
-    a = _bits(spec.A)
-    b = _bits(spec.B)
+    a = spec.A.to_bits()
+    b = spec.B.to_bits()
     if nd == 0:
         lmap = LinearMap(gf2.BitMatrix.identity(n0), (n0, nd), (n0,))
         return lmap, UpperTriSpec((n0,), {})
@@ -296,8 +287,8 @@ def lf_transform(spec: SemiDetSpec) -> tuple[LinearMap, UpperTriSpec]:
     fixed = 0
     prev = n0
     for _ in range(nd + 1):
-        ginv = _bits(gf2.invert(gf2.BitMatrix.from_bits(g)))
-        phi = np.concatenate([_mm(g, a), _mm(_mm(g, b), ginv)], axis=1)
+        ginv = gf2.invert(gf2.BitMatrix.from_bits(g)).to_bits()
+        phi = np.concatenate([gf2.mul(g, a), gf2.mul(gf2.mul(g, b), ginv)], axis=1)
         rem = nd - fixed
         acur = phi[fixed:, n0 + fixed - prev : n0 + fixed]
         r = gf2.rank(gf2.BitMatrix.from_bits(acur))
@@ -308,16 +299,16 @@ def lf_transform(spec: SemiDetSpec) -> tuple[LinearMap, UpperTriSpec]:
         reorder = np.zeros((rem, rem), np.uint8)
         reorder[np.arange(rem), perm] = 1
         cancel = np.eye(rem, dtype=np.uint8)
-        cancel[r:, :r] = _bits(v)
-        g[fixed:] = _mm(_mm(cancel, reorder), g[fixed:])
+        cancel[r:, :r] = v.to_bits()
+        g[fixed:] = gf2.mul(gf2.mul(cancel, reorder), g[fixed:])
         widths.append(r)
         fixed += r
         prev = r
     else:  # pragma: no cover - termination is guaranteed by the rank drop
         raise AssertionError("layer peeling did not terminate within the width bound")
 
-    ginv = _bits(gf2.invert(gf2.BitMatrix.from_bits(g)))
-    phi = np.concatenate([_mm(g, a), _mm(_mm(g, b), ginv)], axis=1)
+    ginv = gf2.invert(gf2.BitMatrix.from_bits(g)).to_bits()
+    phi = np.concatenate([gf2.mul(g, a), gf2.mul(gf2.mul(g, b), ginv)], axis=1)
     rows = _offsets(widths[1:])
     cols = _offsets(widths)
     K = len(widths) - 1
@@ -393,9 +384,9 @@ def lb_transform(
         for k in range(1, j + 1):
             target = gf2.BitMatrix.from_bits(blk(psi, l + 1, l + k))
             x = gf2.solve(sub, target)  # full row rank: always consistent
-            d[cols[l] : cols[l + 1], cols[l + k] : cols[l + k + 1]] = _bits(x)
-        psi = _mm(_mm(d[n0:, n0:], psi), d)  # d is its own inverse over GF(2)
-        m = _mm(d, m)
+            d[cols[l] : cols[l + 1], cols[l + k] : cols[l + k + 1]] = x.to_bits()
+        psi = gf2.mul(gf2.mul(d[n0:, n0:], psi), d)  # d is its own inverse over GF(2)
+        m = gf2.mul(d, m)
 
     spec_maps = []
     for j in range(1, K + 1):
@@ -444,7 +435,7 @@ def apply_map(m: LinearMap, trace: StreamTrace) -> StreamTrace:
         meta["drop_anchor"] = anchor.tolist()
     size = data.shape[2]
     flat = data.reshape(-1, size)
-    out = _mm(flat, _bits(m.matrix).T).reshape(steps, trace.n, size)
+    out = gf2.mul(flat, m.matrix.to_bits().T).reshape(steps, trace.n, size)
     subs, tails = _split(out, m.out_widths, trace.tail_depth)
     return StreamTrace(
         kind="diagonal",
@@ -465,7 +456,7 @@ def invert_map(m: LinearMap, trace: StreamTrace) -> StreamTrace:
     steps = data.shape[0]
     size = data.shape[2]
     flat = data.reshape(-1, size)
-    back = _mm(flat, _bits(m.inverse_matrix()).T).reshape(steps, trace.n, size)
+    back = gf2.mul(flat, m.inverse_matrix().to_bits().T).reshape(steps, trace.n, size)
     meta = dict(trace.meta)
     if m.drop is not None:
         stored = meta.pop("drop_anchor", None)

@@ -218,3 +218,39 @@ def test_prefactored_solver_amortizes_a_tall_system():
         assert np.array_equal(solver.solve_unique(b), x_true)
     with pytest.raises(ValueError, match="row count mismatch"):
         solver.solve_unique(np.zeros(7, np.uint8))
+
+
+def test_mul_matches_int64_reference():
+    rng = np.random.default_rng(13)
+    shapes = [
+        ((3, 5), (5, 2)),  # tiny: uint8 path
+        ((40, 30), (30, 3)),  # just below the float32 cut-over
+        ((64, 300), (300, 80)),  # float32 path, inner dimension above 255
+        ((1, 301), (301, 1)),  # uint8 path, inner dimension above 255
+        ((2, 5001), (5001, 3)),  # float32 path, odd sums far above 255
+        ((4, 7, 9), (9, 3)),  # 3-D left operand, small
+        ((8, 30, 40), (40, 50)),  # 3-D left operand, large
+        ((0, 5), (5, 3)),
+        ((4, 0), (0, 3)),
+        ((4, 5), (5, 0)),
+        ((2, 0, 3), (3, 4)),
+        ((0, 5000), (5000, 10)),
+        ((60, 0), (0, 900)),
+    ]
+    for a_shape, b_shape in shapes:
+        for fill in ("random", "ones"):
+            if fill == "ones":
+                a = np.ones(a_shape, np.uint8)
+                b = np.ones(b_shape, np.uint8)
+            else:
+                a = rng.integers(0, 2, a_shape, dtype=np.uint8)
+                b = rng.integers(0, 2, b_shape, dtype=np.uint8)
+            got = gf2.mul(a, b)
+            want = (a.astype(np.int64) @ b.astype(np.int64)) & 1
+            assert got.dtype == np.uint8, (a_shape, b_shape)
+            assert got.shape == want.shape, (a_shape, b_shape)
+            assert np.array_equal(got, want), (a_shape, b_shape, fill)
+    # float32 stops counting exactly at 2**24: a longer all-ones dot product
+    # has odd parity that a float32 sum would round away
+    k = (1 << 24) + 1
+    assert gf2.mul(np.ones((1, k), np.uint8), np.ones((k, 1), np.uint8)).tolist() == [[1]]
