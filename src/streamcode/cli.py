@@ -34,6 +34,7 @@ from .rates import RateQuery, baseline_rates, gaussian_rate, r_delay, r_minus, r
 from .sources import (
     DiagonalSourceSpec,
     SemiDetSpec,
+    _full_rank_spec,
     gen_diagonal,
     gen_semidet,
     normalize_K,
@@ -144,21 +145,6 @@ def _load_chain(params: dict) -> FiniteMarkovChain:
     raise InvalidInput("need --flip or --chain to define the source")
 
 
-def _spec_with_widths(widths: tuple[int, ...], seed: int) -> DiagonalSourceSpec:
-    """Seeded layered spec with the given widths and full-row-rank maps."""
-    rng = np.random.default_rng([seed, len(widths)])
-    maps = []
-    for j in range(1, len(widths)):
-        while True:
-            cand = gf2.BitMatrix.from_bits(
-                rng.integers(0, 2, (widths[j], widths[j - 1]), dtype=np.uint8)
-            )
-            if gf2.rank(cand) == widths[j]:
-                maps.append(cand)
-                break
-    return DiagonalSourceSpec(widths=tuple(widths), R=tuple(maps))
-
-
 def _map_jobs(fn, payloads: list, jobs: int) -> list:
     """Run payloads in order, optionally in worker processes; results come
     back in submission order so output is independent of scheduling."""
@@ -263,7 +249,8 @@ def cmd_simulate_det(args: argparse.Namespace) -> None:
         with open(p["spec"]) as fh:
             spec = DiagonalSourceSpec.from_json(json.load(fh))
     else:
-        spec = _spec_with_widths(_ints(p["widths"]), int(p["spec_seed"]))
+        widths = _ints(p["widths"])
+        spec = _full_rank_spec(np.random.default_rng([int(p["spec_seed"]), len(widths)]), widths)
     B, W, n, delta, T = (int(p[k]) for k in ("B", "W", "n", "delta", "T"))
     trials = int(p["trials"])
     # the lookahead code plans one deep layer per burst slot, so the spec

@@ -672,11 +672,7 @@ def gaussian_pipeline(
         raise InvariantViolation("rate accounting diverged from the closed form")
     wire_widths = tuple([offs[-1]] * (W + 1) + [offs[-1] - offs[k] for k in range(1, B + 1)])
     wire_rate = diagonal_rate(wire_widths, B, W)
-    packet_bits = (
-        design_bincode(source_spec(codec, n), B, W, n=1, delta=delta, seed=seed).packet_bits
-        if mode == "binned"
-        else math.ceil(dr) + delta
-    )
+    packet_bits = bincode.packet_bits if mode == "binned" else math.ceil(dr) + delta
     rate = {
         "group_size": codec.group,
         "per_sample": float(dr) / n,

@@ -12,13 +12,20 @@ unknowns are the (W+1)·n·N_0 fresh innovation bits plus the n·sum(N_{W+k})
 deep-codeword bits the burst destroyed.  Everything outside the
 error-propagation window [burst_start, burst_start+B'+W-1] is emitted
 bit-exactly; window times are emitted as explicit skip markers.
+
+A BinCode is only the seeded hash, so one code can serve several specs.
+For each (spec, B, W) it is used with, the code keeps one codec, built on
+first use, that holds the layer-map products and that code's prefactored
+steady and window solvers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -28,11 +35,14 @@ from .errors import DecodeFailure, InvalidInput, PatternViolation
 from .sources import DiagonalSourceSpec
 
 
-class _Plan:
-    """Per-(spec, B, W) geometry: codeword part widths and cached
-    layer-to-layer map products, as dense bit arrays."""
+class _Codec:
+    """Everything fixed by one (spec, B, W) design point and one BinCode:
+    codeword part widths, cached layer-to-layer map products as dense bit
+    arrays, and the code's prefactored steady and window solvers.  The
+    code-less codec of ``rearrange`` and ``reconstruct_symbol`` never solves.
+    """
 
-    def __init__(self, spec: DiagonalSourceSpec, B: int, W: int):
+    def __init__(self, spec: DiagonalSourceSpec, B: int, W: int, code: BinCode | None = None):
         if B < 0 or W < 0:
             raise InvalidInput("B and W must be nonnegative")
         if spec.K != B + W:
@@ -42,16 +52,21 @@ class _Plan:
         self.spec = spec
         self.B = B
         self.W = W
+        # a proxy, so that a code and its codecs form no reference cycle and
+        # a dropped code frees its hashes and solvers at once
+        self.code = None if code is None else weakref.proxy(code)
         self.widths = spec.widths
         self.part_widths = (spec.widths[0],) + tuple(
             spec.widths[W + k] for k in range(1, B + 1)
         )
-        self.offs = [0]
-        for w in self.part_widths:
-            self.offs.append(self.offs[-1] + w)
+        self.offs = [0, *accumulate(self.part_widths)]
         self.r0 = self.offs[-1]
         self._rbits = [None] + [m.to_bits() for m in spec.R]
         self._prods: dict[tuple[int, int], np.ndarray] = {}
+        # each coefficient matrix is fixed by the code and the key alone, so
+        # its elimination is kept and a repeat visit costs one product
+        self._steady: dict[int, gf2.PrefactoredSolver] = {}  # by time
+        self._window: dict[tuple[int, int], gf2.PrefactoredSolver] = {}  # by (burst_end, bp)
 
     def prod(self, hi: int, lo: int) -> np.ndarray:
         """Dense product of the inter-layer maps from layer lo up to hi."""
@@ -72,6 +87,141 @@ class _Plan:
         for j in range(1, self.spec.K + 1):
             out.append(gf2.mul(layers[j - 1], self._rbits[j].T))
         return out
+
+    def rearrange(self, symbol: Sequence[np.ndarray]) -> CodewordBlock:
+        if len(symbol) != self.spec.K + 1:
+            raise InvalidInput("symbol must have one layer per spec width")
+        layers = [np.asarray(s, np.uint8) for s in symbol]
+        for j, s in enumerate(layers):
+            if s.ndim != 2 or s.shape[1] != self.widths[j]:
+                raise InvalidInput("symbol layer widths do not match the spec")
+        parts = [layers[0]]
+        for k in range(1, self.B + 1):
+            parts.append(gf2.mul(layers[k], self.prod(self.W + k, k).T))
+        return CodewordBlock(tuple(parts))
+
+    def steady_decode(
+        self, t: int, prev: Sequence[np.ndarray], packet: np.ndarray
+    ) -> list[np.ndarray]:
+        """One-packet decode: only the innovation bits are unknown."""
+        code = self.code
+        n, n0 = code.n, self.widths[0]
+        det = self.advance(prev)
+        rhs = packet ^ code.hash_vec(t, self.rearrange(det).vec())
+        solver = self._steady.get(t)
+        if solver is None:
+            m = code.matrix(t).reshape(code.packet_bits, n, self.r0)[:, :, :n0]
+            solver = gf2.PrefactoredSolver(
+                gf2.BitMatrix.from_bits(m.reshape(code.packet_bits, n * n0))
+            )
+            self._steady[t] = solver
+        det[0] = _solve_bits(solver, rhs, t).reshape(n, n0)
+        return det
+
+    def deadline_decode(self, state: DecoderState, t: int) -> list[np.ndarray]:
+        """Stacked post-burst decode at the recovery deadline.
+
+        Unknowns: the innovation of each buffered time, plus the deep
+        codeword parts c_{burst_end, 1..B'} the burst wiped out.  Every
+        codeword bit of the buffered packets is affine in these, because
+        part k of time tau is the innovation of time tau-k pushed through
+        the layer products — and tau-k is either buffered (an unknown
+        innovation), inside the burst (an unknown deep part), or pre-burst
+        (known, propagated from the frozen last_known symbol).
+        """
+        code = self.code
+        n, W, B = code.n, self.W, self.B
+        n0 = self.widths[0]
+        j0 = state.burst_start
+        bp = state.burst_len
+        burst_end = j0 + bp
+        assert t == burst_end + W and len(state.buffered) == W + 1
+        assert state.recovered_time == j0 - 1
+        pre = state.last_known
+
+        zw = [n0] * (W + 1) + [self.widths[W + k] for k in range(1, bp + 1)]
+        zoffs = [0, *accumulate(zw)]
+        zdim = n * zoffs[-1]
+
+        rows = code.packet_bits
+        # the stacked coefficient matrix is fixed by the burst geometry and
+        # the hash times; only the right-hand side (which folds in the
+        # pre-burst symbol) changes between decodes
+        solver = self._window.get((burst_end, bp))
+        m_parts = [] if solver is None else None
+        rhs_parts = []
+        for i, tau in enumerate(range(burst_end, burst_end + W + 1)):
+            base = np.zeros((n, self.r0), np.uint8)
+            for k in range(1, B + 1):
+                if self.part_widths[k] == 0:
+                    continue
+                b = tau - k  # time whose innovation feeds this part
+                if b < j0:
+                    src = pre[k - (tau - j0 + 1)]
+                    base[:, self.offs[k] : self.offs[k + 1]] = gf2.mul(
+                        src, self.prod(W + k, k - (tau - j0 + 1)).T
+                    )
+            rhs_parts.append(state.buffered[i] ^ code.hash_vec(tau, base))
+            if m_parts is None:
+                continue
+            h3 = code.matrix(tau).reshape(rows, n, self.r0)
+            acc = np.zeros((rows, zdim), np.uint8)
+            acc[:, n * zoffs[i] : n * zoffs[i + 1]] ^= h3[:, :, :n0].reshape(rows, n * n0)
+            for k in range(1, B + 1):
+                if self.part_widths[k] == 0:
+                    continue
+                sl = slice(self.offs[k], self.offs[k + 1])
+                b = tau - k
+                if b >= burst_end:
+                    blk = b - burst_end
+                    coef = self.prod(W + k, 0)
+                elif b >= j0:
+                    blk = W + 1 + (burst_end - b) - 1
+                    coef = self.prod(W + k, W + burst_end - b)
+                else:
+                    continue
+                contrib = gf2.mul(h3[:, :, sl], coef)
+                acc[:, n * zoffs[blk] : n * zoffs[blk + 1]] ^= contrib.reshape(rows, -1)
+            m_parts.append(acc)
+        if solver is None:
+            solver = gf2.PrefactoredSolver(
+                gf2.BitMatrix.from_bits(np.concatenate(m_parts))
+            )
+            self._window[burst_end, bp] = solver
+
+        z = _solve_bits(solver, np.concatenate(rhs_parts), t)
+        blocks = [
+            z[n * zoffs[b] : n * zoffs[b + 1]].reshape(n, zw[b]) for b in range(len(zw))
+        ]
+        return self.assemble(blocks[: W + 1], blocks[W + 1 :], (pre, t - j0 + 1))
+
+    def assemble(
+        self,
+        innovations: Sequence[np.ndarray],
+        deep_parts: Sequence[np.ndarray],
+        anchor: tuple[Sequence[np.ndarray], int] | None,
+    ) -> list[np.ndarray]:
+        K, W = self.spec.K, self.W
+        layers: list = [None] * (K + 1)
+        layers[0] = np.asarray(innovations[-1], np.uint8)
+        for j in range(1, min(W, K) + 1):
+            layers[j] = gf2.mul(innovations[-1 - j], self.prod(j, 0).T)
+        for k, part in enumerate(deep_parts, start=1):
+            layers[W + k] = np.asarray(part, np.uint8)
+        if anchor is not None:
+            src, delta = anchor
+            for j in range(W + len(deep_parts) + 1, K + 1):
+                layers[j] = gf2.mul(src[j - delta], self.prod(j, j - delta).T)
+        assert all(l is not None for l in layers), "missing reconstruction dependency"
+        return layers
+
+
+def _solve_bits(solver: gf2.PrefactoredSolver, rhs: np.ndarray, t: int) -> np.ndarray:
+    """Unique GF(2) solve, mapped onto the decoder's failure contract."""
+    try:
+        return solver.solve_unique(rhs)
+    except ValueError as exc:
+        raise DecodeFailure(f"time {t}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -108,21 +258,7 @@ def rearrange(
     ``symbol`` lists the layers at a single time, layer j of shape
     (n, N_j).  Requires ``spec.K == B + W`` (see sources.normalize_K).
     """
-    plan = _Plan(spec, B, W)
-    return _rearrange(plan, symbol)
-
-
-def _rearrange(plan: _Plan, symbol: Sequence[np.ndarray]) -> CodewordBlock:
-    if len(symbol) != plan.spec.K + 1:
-        raise InvalidInput("symbol must have one layer per spec width")
-    layers = [np.asarray(s, np.uint8) for s in symbol]
-    for j, s in enumerate(layers):
-        if s.ndim != 2 or s.shape[1] != plan.widths[j]:
-            raise InvalidInput("symbol layer widths do not match the spec")
-    parts = [layers[0]]
-    for k in range(1, plan.B + 1):
-        parts.append(gf2.mul(layers[k], plan.prod(plan.W + k, k).T))
-    return CodewordBlock(tuple(parts))
+    return _Codec(spec, B, W).rearrange(symbol)
 
 
 @dataclass
@@ -138,7 +274,8 @@ class BinCode:
     n: int
     r0_bits: int
     packet_bits: int
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _packed: dict = field(default_factory=dict, repr=False, compare=False)
+    _codecs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.r0_bits < 0:
@@ -156,25 +293,22 @@ class BinCode:
 
     def matrix(self, t: int) -> np.ndarray:
         """Hash matrix for time t as a (packet_bits, in_bits) bit array."""
-        if t < 0:
-            raise InvalidInput("packet times are nonnegative")
-        got = self._cache.get(t)
-        if got is None:
-            if self.identity_mode:
-                got = np.eye(self.in_bits, dtype=np.uint8)
-            else:
-                rng = np.random.default_rng([self.seed, t])
-                got = rng.integers(0, 2, (self.packet_bits, self.in_bits), dtype=np.uint8)
-            self._cache[t] = got
-        return got
+        return self.packed(t).to_bits()
 
     def packed(self, t: int) -> gf2.BitMatrix:
-        """Time-t hash as a packed bit matrix (cached alongside matrix)."""
-        key = ("packed", t)
-        got = self._cache.get(key)
+        """Time-t hash as a packed bit matrix, the code's one cached form."""
+        if t < 0:
+            raise InvalidInput("packet times are nonnegative")
+        got = self._packed.get(t)
         if got is None:
-            got = gf2.BitMatrix.from_bits(self.matrix(t))
-            self._cache[key] = got
+            if self.identity_mode:
+                got = gf2.BitMatrix.identity(self.in_bits)
+            else:
+                rng = np.random.default_rng([self.seed, t])
+                got = gf2.BitMatrix.from_bits(
+                    rng.integers(0, 2, (self.packet_bits, self.in_bits), dtype=np.uint8)
+                )
+            self._packed[t] = got
         return got
 
     def hash_vec(self, t: int, vec: np.ndarray) -> np.ndarray:
@@ -185,6 +319,18 @@ class BinCode:
         if self.identity_mode:
             return flat.copy()
         return self.packed(t).mul_vec(gf2.BitVector.from_bits(flat)).to_bits()
+
+    def codec(self, spec: DiagonalSourceSpec, B: int, W: int) -> _Codec:
+        """This code's codec for one design point, built on first use.  The
+        codec keeps ``spec`` alive, so its id stays a valid key."""
+        key = (id(spec), B, W)
+        got = self._codecs.get(key)
+        if got is None:
+            got = _Codec(spec, B, W, self)
+            if got.r0 != self.r0_bits:
+                raise InvalidInput("bin code was sized for a different design point")
+            self._codecs[key] = got
+        return got
 
     def to_json(self) -> dict:
         return {
@@ -220,16 +366,16 @@ def design_bincode(
     capped at the raw codeword size, which disables binning.  An
     explicit ``packet_bits`` below the information threshold is refused.
     """
-    plan = _Plan(spec, B, W)
+    r0 = _Codec(spec, B, W).r0
     need = math.ceil(rates.diagonal_rate(spec.widths, B, W) * n)
-    cap = n * plan.r0
+    cap = n * r0
     if packet_bits is None:
         packet_bits = min(need + delta, cap)
     if not need <= packet_bits <= cap:
         raise InvalidInput(
             f"packet_bits must lie in [{need}, {cap}] for this design point"
         )
-    return BinCode(seed=seed, n=n, r0_bits=plan.r0, packet_bits=packet_bits)
+    return BinCode(seed=seed, n=n, r0_bits=r0, packet_bits=packet_bits)
 
 
 @dataclass
@@ -249,29 +395,21 @@ class PacketStream:
         return len(self.packets)
 
     def with_erasures(self, pattern: channel.ErasurePattern) -> "PacketStream":
-        return PacketStream(
-            spec=self.spec,
-            B=self.B,
-            W=self.W,
-            n=self.n,
-            packet_bits=self.packet_bits,
-            seed=self.seed,
-            packets=channel.apply(pattern, self.packets),
-        )
+        return replace(self, packets=channel.apply(pattern, self.packets))
 
 
 def encode(
     trace, spec: DiagonalSourceSpec, B: int, W: int, bincode: BinCode
 ) -> PacketStream:
     """Hash each time-step's rearranged codeword into one packet."""
-    plan = _Plan(spec, B, W)
+    codec = bincode.codec(spec, B, W)
     if tuple(trace.widths) != tuple(spec.widths):
         raise InvalidInput("trace widths do not match the source spec")
-    if trace.n != bincode.n or bincode.r0_bits != plan.r0:
+    if trace.n != bincode.n:
         raise InvalidInput("bin code was sized for a different design point")
     packets = []
     for t in range(trace.T):
-        block = _rearrange(plan, [trace.sub[j][t] for j in range(spec.K + 1)])
+        block = codec.rearrange([trace.sub[j][t] for j in range(spec.K + 1)])
         packets.append(bincode.hash_vec(t, block.vec()))
     return PacketStream(
         spec=spec,
@@ -328,7 +466,7 @@ def decode_step(
             guard-spacing contract this codec is designed for.
         DecodeFailure: the hash did not pin the unknowns down uniquely.
     """
-    plan = _Plan(spec, B, W)
+    codec = bincode.codec(spec, B, W)
     t = state.time
     if packet is None:
         if state.mode == "steady":
@@ -354,13 +492,13 @@ def decode_step(
         raise InvalidInput("packet size does not match the bin code")
 
     if state.mode == "steady":
-        layers = _steady_decode(plan, bincode, t, state.last_known, arr)
+        layers = codec.steady_decode(t, state.last_known, arr)
     else:
         state.buffered.append(arr)
         if len(state.buffered) < W + 1:
             state.time += 1
             return state, None
-        layers = _deadline_decode(plan, bincode, state, t)
+        layers = codec.deadline_decode(state, t)
         state.mode = "steady"
         state.burst_start = None
         state.burst_len = 0
@@ -383,146 +521,6 @@ def decode_stream(stream: PacketStream, bincode: BinCode, tail_symbol) -> list:
     return out
 
 
-def _solve_bits(solver: gf2.PrefactoredSolver, rhs: np.ndarray, t: int) -> np.ndarray:
-    """Unique GF(2) solve, mapped onto the decoder's failure contract."""
-    try:
-        return solver.solve_unique(rhs)
-    except ValueError as exc:
-        raise DecodeFailure(f"time {t}: {exc}") from exc
-
-
-def _steady_decode(
-    plan: _Plan, bincode: BinCode, t: int, prev: Sequence[np.ndarray], packet: np.ndarray
-) -> list[np.ndarray]:
-    """One-packet decode: only the innovation bits are unknown."""
-    n = bincode.n
-    n0 = plan.widths[0]
-    det = plan.advance(prev)
-    base = np.zeros((n, plan.r0), np.uint8)
-    for k in range(1, plan.B + 1):
-        base[:, plan.offs[k] : plan.offs[k + 1]] = gf2.mul(
-            det[k], plan.prod(plan.W + k, k).T
-        )
-    rhs = packet ^ bincode.hash_vec(t, base)
-    # the coefficient matrix depends only on (code, t), so its elimination
-    # is cached and repeat visits cost one matrix-vector product
-    key = ("steady", t, n0, plan.r0)
-    solver = bincode._cache.get(key)
-    if solver is None:
-        m = bincode.matrix(t).reshape(bincode.packet_bits, n, plan.r0)[:, :, :n0]
-        solver = gf2.PrefactoredSolver(
-            gf2.BitMatrix.from_bits(m.reshape(bincode.packet_bits, n * n0))
-        )
-        bincode._cache[key] = solver
-    det[0] = _solve_bits(solver, rhs, t).reshape(n, n0)
-    return det
-
-
-def _deadline_decode(
-    plan: _Plan, bincode: BinCode, state: DecoderState, t: int
-) -> list[np.ndarray]:
-    """Stacked post-burst decode at the recovery deadline.
-
-    Unknowns: the innovation of each buffered time, plus the deep
-    codeword parts c_{burst_end, 1..B'} the burst wiped out.  Every
-    codeword bit of the buffered packets is affine in these, because
-    part k of time tau is the innovation of time tau-k pushed through
-    the layer products — and tau-k is either buffered (an unknown
-    innovation), inside the burst (an unknown deep part), or pre-burst
-    (known, propagated from the frozen last_known symbol).
-    """
-    n, W, B = bincode.n, plan.W, plan.B
-    n0 = plan.widths[0]
-    j0 = state.burst_start
-    bp = state.burst_len
-    burst_end = j0 + bp
-    assert t == burst_end + W and len(state.buffered) == W + 1
-    assert state.recovered_time == j0 - 1
-    pre = state.last_known
-
-    zw = [n0] * (W + 1) + [plan.widths[W + k] for k in range(1, bp + 1)]
-    zoffs = [0]
-    for w in zw:
-        zoffs.append(zoffs[-1] + w)
-    zdim = n * zoffs[-1]
-
-    rows = bincode.packet_bits
-    # the stacked coefficient matrix is fixed by the burst geometry and the
-    # hash times, so its elimination is cached; only the right-hand side
-    # (which folds in the pre-burst symbol) changes between decodes
-    key = ("window", burst_end, bp, W, tuple(plan.widths))
-    solver = bincode._cache.get(key)
-    m_parts = [] if solver is None else None
-    rhs_parts = []
-    for i, tau in enumerate(range(burst_end, burst_end + W + 1)):
-        base = np.zeros((n, plan.r0), np.uint8)
-        for k in range(1, B + 1):
-            if plan.part_widths[k] == 0:
-                continue
-            b = tau - k  # time whose innovation feeds this part
-            if b < j0:
-                src = pre[k - (tau - j0 + 1)]
-                base[:, plan.offs[k] : plan.offs[k + 1]] = gf2.mul(
-                    src, plan.prod(W + k, k - (tau - j0 + 1)).T
-                )
-        rhs_parts.append(state.buffered[i] ^ bincode.hash_vec(tau, base))
-        if m_parts is None:
-            continue
-        h3 = bincode.matrix(tau).reshape(rows, n, plan.r0)
-        acc = np.zeros((rows, zdim), np.uint8)
-        acc[:, n * zoffs[i] : n * zoffs[i + 1]] ^= h3[:, :, :n0].reshape(rows, n * n0)
-        for k in range(1, B + 1):
-            if plan.part_widths[k] == 0:
-                continue
-            sl = slice(plan.offs[k], plan.offs[k + 1])
-            b = tau - k
-            if b >= burst_end:
-                blk = b - burst_end
-                coef = plan.prod(W + k, 0)
-            elif b >= j0:
-                blk = W + 1 + (burst_end - b) - 1
-                coef = plan.prod(W + k, W + burst_end - b)
-            else:
-                continue
-            contrib = gf2.mul(h3[:, :, sl], coef)
-            acc[:, n * zoffs[blk] : n * zoffs[blk + 1]] ^= contrib.reshape(rows, -1)
-        m_parts.append(acc)
-    if solver is None:
-        solver = gf2.PrefactoredSolver(
-            gf2.BitMatrix.from_bits(np.concatenate(m_parts))
-        )
-        bincode._cache[key] = solver
-
-    z = _solve_bits(solver, np.concatenate(rhs_parts), t)
-    blocks = [
-        z[n * zoffs[b] : n * zoffs[b + 1]].reshape(n, zw[b]) for b in range(len(zw))
-    ]
-    innovations = blocks[: W + 1]
-    deep = blocks[W + 1 :]
-    return _assemble(plan, innovations, deep, (pre, t - j0 + 1))
-
-
-def _assemble(
-    plan: _Plan,
-    innovations: Sequence[np.ndarray],
-    deep_parts: Sequence[np.ndarray],
-    anchor: tuple[Sequence[np.ndarray], int] | None,
-) -> list[np.ndarray]:
-    K, W = plan.spec.K, plan.W
-    layers: list = [None] * (K + 1)
-    layers[0] = np.asarray(innovations[-1], np.uint8)
-    for j in range(1, min(W, K) + 1):
-        layers[j] = gf2.mul(innovations[-1 - j], plan.prod(j, 0).T)
-    for k, part in enumerate(deep_parts, start=1):
-        layers[W + k] = np.asarray(part, np.uint8)
-    if anchor is not None:
-        src, delta = anchor
-        for j in range(W + len(deep_parts) + 1, K + 1):
-            layers[j] = gf2.mul(src[j - delta], plan.prod(j, j - delta).T)
-    assert all(l is not None for l in layers), "missing reconstruction dependency"
-    return layers
-
-
 def reconstruct_symbol(
     spec: DiagonalSourceSpec,
     B: int,
@@ -543,12 +541,13 @@ def reconstruct_symbol(
     Layer j <= W comes from the innovation of time i-j pushed down j
     steps; with L = B and spec.K == B+W nothing else is needed.
     """
-    plan = _Plan(spec, B, W)
+    codec = _Codec(spec, B, W)
     if len(innovations) != W + 1:
         raise InvalidInput("need exactly W+1 innovation layers")
     if len(deep_parts) > B:
         raise InvalidInput("more deep parts than burst slots")
-    return _assemble(plan, innovations, deep_parts, anchor)
+    return codec.assemble(innovations, deep_parts, anchor)
+
 
 
 def dump_packets(stream: PacketStream, fp) -> None:

@@ -298,8 +298,13 @@ def random_diagonal_spec(
     widths = [int(rng.integers(1, max_width + 1))]
     for _ in range(K):
         widths.append(int(rng.integers(1, widths[-1] + 1)))
+    return _full_rank_spec(rng, widths)
+
+
+def _full_rank_spec(rng: np.random.Generator, widths: Sequence[int]) -> DiagonalSourceSpec:
+    """Spec with the given widths and rejection-sampled full-row-rank maps."""
     maps = []
-    for j in range(1, K + 1):
+    for j in range(1, len(widths)):
         while True:
             cand = gf2.BitMatrix.from_bits(
                 rng.integers(0, 2, (widths[j], widths[j - 1]), dtype=np.uint8)

@@ -261,6 +261,21 @@ def test_pattern_violations():
     check_outputs(trace2, out, window={1, 2, 5, 6})
 
 
+def test_one_code_serves_specs_with_equal_widths():
+    # the stacked window solver depends on the layer maps, not only on the
+    # widths, so a code shared by two such specs must keep one per spec
+    specs = [
+        sources.DiagonalSourceSpec((3, 2, 1), (bm([[1, 0, 0], [0, 1, 0]]), bm([[1, 0]]))),
+        sources.DiagonalSourceSpec((3, 2, 1), (bm([[0, 1, 1], [1, 0, 1]]), bm([[1, 1]]))),
+    ]
+    n, T = 16, 10
+    code = prospicient.design_bincode(specs[0], 1, 1, n, delta=16, seed=3)
+    for i, spec in enumerate(specs):
+        trace = sources.gen_diagonal(spec, n, T, seed=30 + i)
+        out = run_decode(trace, spec, 1, 1, code, channel.single_burst(3, 1, T))
+        check_outputs(trace, out, window=(3, 4))
+
+
 def test_undersized_packets_raise_decode_failure():
     spec = unit_chain(2)
     n, T = 8, 4
