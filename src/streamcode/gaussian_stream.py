@@ -33,7 +33,7 @@ import numpy as np
 from . import channel
 from .errors import InvalidInput, InvariantViolation, PatternViolation
 from .prospicient import decode_stream, design_bincode, encode
-from .rates import diagonal_rate, gaussian_rate
+from .rates import _check_distortions, diagonal_rate, gaussian_rate
 from .sources import DiagonalSourceSpec, StreamTrace
 from . import gf2
 
@@ -53,13 +53,7 @@ def normalize_distortions(d: Sequence[float], B: int, W: int) -> tuple[float, ..
     """
     if B < 0 or W < 0:
         raise InvalidInput("B and W must be nonnegative")
-    vals = [float(x) for x in d]
-    if not vals:
-        raise InvalidInput("distortion vector must be non-empty")
-    if any(not 0.0 < x <= 1.0 for x in vals):
-        raise InvalidInput("distortions must lie in (0, 1]")
-    if any(b < a for a, b in zip(vals, vals[1:])):
-        raise InvalidInput("distortions must be nondecreasing")
+    vals = _check_distortions(d)
     want = B + W + 1
     vals = vals[:want] + [1.0] * (want - len(vals))
     return tuple(vals)

@@ -4,19 +4,20 @@ The encoder is memoryless: at each time it rearranges the current symbol
 into a short codeword — the innovation layer plus, for each burst slot
 k = 1..B, the image of layer k under the layer-to-layer products that
 will matter W+k steps later — and transmits a seeded random linear hash
-of the codeword across all n spatial copies.  The decoder runs as a
-two-mode state machine: in steady mode each packet pins down the n·N_0
-innovation bits by linear elimination; after a burst of B' <= B
-erasures it buffers W+1 packets and solves one stacked system whose
-unknowns are the (W+1)·n·N_0 fresh innovation bits plus the n·sum(N_{W+k})
-deep-codeword bits the burst destroyed.  Everything outside the
+of the codeword across all n spatial copies.  The decoder has one
+rule, a joint linear solve over a window of received packets: after a
+burst of B' <= B erasures it buffers W+1 packets and solves one stacked
+system whose unknowns are the (W+1)·n·N_0 fresh innovation bits plus the
+n·sum(N_{W+k}) deep-codeword bits the burst destroyed.  A steady step is
+the zero-erasure case of the same solve: one packet, whose n·N_0
+innovation bits are the only unknowns.  Everything outside the
 error-propagation window [burst_start, burst_start+B'+W-1] is emitted
 bit-exactly; window times are emitted as explicit skip markers.
 
 A BinCode is only the seeded hash, so one code can serve several specs.
 For each (spec, B, W) it is used with, the code keeps one codec, built on
-first use, that holds the layer-map products and that code's prefactored
-steady and window solvers.
+first use, that holds the layer-map products and one cache of that
+code's prefactored solvers, keyed by (t, erased count).
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ from .sources import DiagonalSourceSpec
 class _Codec:
     """Everything fixed by one (spec, B, W) design point and one BinCode:
     codeword part widths, cached layer-to-layer map products as dense bit
-    arrays, and the code's prefactored steady and window solvers.  The
-    code-less codec of ``rearrange`` and ``reconstruct_symbol`` never solves.
+    arrays, and the code's prefactored solvers for ``solve_window``, in one
+    dict keyed by (t, erased count); a steady step is the zero-erasure
+    window (t, 0).  The code-less codec of ``rearrange`` and
+    ``reconstruct_symbol`` never solves.
     """
 
     def __init__(self, spec: DiagonalSourceSpec, B: int, W: int, code: BinCode | None = None):
@@ -63,10 +66,8 @@ class _Codec:
         self.r0 = self.offs[-1]
         self._rbits = [None] + [m.to_bits() for m in spec.R]
         self._prods: dict[tuple[int, int], np.ndarray] = {}
-        # each coefficient matrix is fixed by the code and the key alone, so
-        # its elimination is kept and a repeat visit costs one product
-        self._steady: dict[int, gf2.PrefactoredSolver] = {}  # by time
-        self._window: dict[tuple[int, int], gf2.PrefactoredSolver] = {}  # by (burst_end, bp)
+        # by (t, erased count): a steady step is (t, 0), a deadline (t, bp >= 1)
+        self._solvers: dict[tuple[int, int], gf2.PrefactoredSolver] = {}
 
     def prod(self, hi: int, lo: int) -> np.ndarray:
         """Dense product of the inter-layer maps from layer lo up to hi."""
@@ -80,14 +81,6 @@ class _Codec:
             self._prods[key] = got
         return got
 
-    def advance(self, layers: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Deterministic layers of the next symbol (innovation left empty)."""
-        n = layers[0].shape[0]
-        out = [np.zeros((n, self.widths[0]), np.uint8)]
-        for j in range(1, self.spec.K + 1):
-            out.append(gf2.mul(layers[j - 1], self._rbits[j].T))
-        return out
-
     def rearrange(self, symbol: Sequence[np.ndarray]) -> CodewordBlock:
         if len(symbol) != self.spec.K + 1:
             raise InvalidInput("symbol must have one layer per spec width")
@@ -100,57 +93,45 @@ class _Codec:
             parts.append(gf2.mul(layers[k], self.prod(self.W + k, k).T))
         return CodewordBlock(tuple(parts))
 
-    def steady_decode(
-        self, t: int, prev: Sequence[np.ndarray], packet: np.ndarray
+    def solve_window(
+        self,
+        t: int,
+        j0: int,
+        packets: Sequence[np.ndarray],
+        pre: Sequence[np.ndarray],
     ) -> list[np.ndarray]:
-        """One-packet decode: only the innovation bits are unknown."""
-        code = self.code
-        n, n0 = code.n, self.widths[0]
-        det = self.advance(prev)
-        rhs = packet ^ code.hash_vec(t, self.rearrange(det).vec())
-        solver = self._steady.get(t)
-        if solver is None:
-            m = code.matrix(t).reshape(code.packet_bits, n, self.r0)[:, :, :n0]
-            solver = gf2.PrefactoredSolver(
-                gf2.BitMatrix.from_bits(m.reshape(code.packet_bits, n * n0))
-            )
-            self._steady[t] = solver
-        det[0] = _solve_bits(solver, rhs, t).reshape(n, n0)
-        return det
+        """Joint decode of the packets of times t-L+1..t, L = len(packets).
 
-    def deadline_decode(self, state: DecoderState, t: int) -> list[np.ndarray]:
-        """Stacked post-burst decode at the recovery deadline.
-
-        Unknowns: the innovation of each buffered time, plus the deep
-        codeword parts c_{burst_end, 1..B'} the burst wiped out.  Every
-        codeword bit of the buffered packets is affine in these, because
+        Times j0..t-L were erased and ``pre`` is the full symbol at j0-1.
+        A steady step is the case j0 = t, L = 1; a recovery deadline has
+        bp = t-L+1-j0 >= 1 erased times and L = W+1, so (t, bp) fixes the
+        system.  Unknowns: the innovation of each received time, plus the
+        deep codeword parts c_{t-W, 1..bp} the erasures destroyed.  Every
+        codeword bit of the received packets is affine in these, because
         part k of time tau is the innovation of time tau-k pushed through
-        the layer products — and tau-k is either buffered (an unknown
-        innovation), inside the burst (an unknown deep part), or pre-burst
-        (known, propagated from the frozen last_known symbol).
+        the layer products — and tau-k is either received (an unknown
+        innovation), erased (an unknown deep part), or before j0 (known,
+        propagated from ``pre``).
         """
         code = self.code
         n, W, B = code.n, self.W, self.B
         n0 = self.widths[0]
-        j0 = state.burst_start
-        bp = state.burst_len
-        burst_end = j0 + bp
-        assert t == burst_end + W and len(state.buffered) == W + 1
-        assert state.recovered_time == j0 - 1
-        pre = state.last_known
+        L = len(packets)
+        first = t - L + 1
+        bp = first - j0
 
-        zw = [n0] * (W + 1) + [self.widths[W + k] for k in range(1, bp + 1)]
+        zw = [n0] * L + [self.widths[W + k] for k in range(1, bp + 1)]
         zoffs = [0, *accumulate(zw)]
         zdim = n * zoffs[-1]
 
         rows = code.packet_bits
-        # the stacked coefficient matrix is fixed by the burst geometry and
-        # the hash times; only the right-hand side (which folds in the
-        # pre-burst symbol) changes between decodes
-        solver = self._window.get((burst_end, bp))
+        # the stacked coefficient matrix is fixed by the code and the key;
+        # only the right-hand side (which folds in ``pre``) changes between
+        # decodes, so the elimination is kept and a repeat costs one product
+        solver = self._solvers.get((t, bp))
         m_parts = [] if solver is None else None
         rhs_parts = []
-        for i, tau in enumerate(range(burst_end, burst_end + W + 1)):
+        for i, tau in enumerate(range(first, t + 1)):
             base = np.zeros((n, self.r0), np.uint8)
             for k in range(1, B + 1):
                 if self.part_widths[k] == 0:
@@ -161,7 +142,7 @@ class _Codec:
                     base[:, self.offs[k] : self.offs[k + 1]] = gf2.mul(
                         src, self.prod(W + k, k - (tau - j0 + 1)).T
                     )
-            rhs_parts.append(state.buffered[i] ^ code.hash_vec(tau, base))
+            rhs_parts.append(packets[i] ^ code.hash_vec(tau, base))
             if m_parts is None:
                 continue
             h3 = code.matrix(tau).reshape(rows, n, self.r0)
@@ -172,12 +153,12 @@ class _Codec:
                     continue
                 sl = slice(self.offs[k], self.offs[k + 1])
                 b = tau - k
-                if b >= burst_end:
-                    blk = b - burst_end
+                if b >= first:
+                    blk = b - first
                     coef = self.prod(W + k, 0)
                 elif b >= j0:
-                    blk = W + 1 + (burst_end - b) - 1
-                    coef = self.prod(W + k, W + burst_end - b)
+                    blk = L + (first - b) - 1
+                    coef = self.prod(W + k, W + first - b)
                 else:
                     continue
                 contrib = gf2.mul(h3[:, :, sl], coef)
@@ -187,13 +168,13 @@ class _Codec:
             solver = gf2.PrefactoredSolver(
                 gf2.BitMatrix.from_bits(np.concatenate(m_parts))
             )
-            self._window[burst_end, bp] = solver
+            self._solvers[t, bp] = solver
 
         z = _solve_bits(solver, np.concatenate(rhs_parts), t)
         blocks = [
             z[n * zoffs[b] : n * zoffs[b + 1]].reshape(n, zw[b]) for b in range(len(zw))
         ]
-        return self.assemble(blocks[: W + 1], blocks[W + 1 :], (pre, t - j0 + 1))
+        return self.assemble(blocks[:L], blocks[L:], (pre, t - j0 + 1))
 
     def assemble(
         self,
@@ -201,16 +182,17 @@ class _Codec:
         deep_parts: Sequence[np.ndarray],
         anchor: tuple[Sequence[np.ndarray], int] | None,
     ) -> list[np.ndarray]:
-        K, W = self.spec.K, self.W
+        # a steady step brings one innovation, a recovery window W+1
+        K, w = self.spec.K, len(innovations) - 1
         layers: list = [None] * (K + 1)
         layers[0] = np.asarray(innovations[-1], np.uint8)
-        for j in range(1, min(W, K) + 1):
+        for j in range(1, min(w, K) + 1):
             layers[j] = gf2.mul(innovations[-1 - j], self.prod(j, 0).T)
         for k, part in enumerate(deep_parts, start=1):
-            layers[W + k] = np.asarray(part, np.uint8)
+            layers[w + k] = np.asarray(part, np.uint8)
         if anchor is not None:
             src, delta = anchor
-            for j in range(W + len(deep_parts) + 1, K + 1):
+            for j in range(w + len(deep_parts) + 1, K + 1):
                 layers[j] = gf2.mul(src[j - delta], self.prod(j, j - delta).T)
         assert all(l is not None for l in layers), "missing reconstruction dependency"
         return layers
@@ -492,13 +474,13 @@ def decode_step(
         raise InvalidInput("packet size does not match the bin code")
 
     if state.mode == "steady":
-        layers = codec.steady_decode(t, state.last_known, arr)
+        layers = codec.solve_window(t, t, [arr], state.last_known)
     else:
         state.buffered.append(arr)
         if len(state.buffered) < W + 1:
             state.time += 1
             return state, None
-        layers = codec.deadline_decode(state, t)
+        layers = codec.solve_window(t, state.burst_start, state.buffered, state.last_known)
         state.mode = "steady"
         state.burst_start = None
         state.burst_len = 0

@@ -30,12 +30,13 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _BLOCK_BUDGET = 2**20  # candidates per block
 _WINDOW_BUDGET = 2**26  # joint candidates per decode window
 _TIE_TOL = 1e-9
+_MODES = ("steady", "post_burst", "delayed")
 
 
 def _mix64(z):
-    """splitmix64 finalizer, vectorized over uint64 arrays."""
+    """splitmix64 finalizer over a uint64 scalar or array."""
     with np.errstate(over="ignore"):
-        z = np.uint64(z) * _SPLIT if np.isscalar(z) else z * _SPLIT
+        z = z * _SPLIT
         z ^= z >> np.uint64(30)
         z *= _MIX1
         z ^= z >> np.uint64(27)
@@ -78,15 +79,22 @@ def _digits(ranks: np.ndarray, n: int, alphabet: int) -> np.ndarray:
     return out
 
 
-def _hash_all(n: int, rate_bits: float, seed: int, alphabet: int, time: int) -> np.ndarray:
-    """Bin index of every length-n sequence (by rank), for one time step."""
-    nbins = _check_hash_params(n, rate_bits, alphabet)
-    ranks = np.arange(alphabet**n, dtype=np.uint64)
-    if nbins == alphabet**n:
+def _bin_of(ranks, nbins: int, n_seqs: int, seed: int, time: int):
+    """The seeded bin rule for uint64 sequence ranks at one time step: the
+    rank itself when every one of the n_seqs sequences has its own bin,
+    else a time-salted splitmix64 hash reduced mod nbins."""
+    if nbins == n_seqs:
         return ranks
     with np.errstate(over="ignore"):
         salt = _mix64(np.uint64(seed)) + np.uint64(time) + np.uint64(1)
         return _mix64(ranks ^ _mix64(salt)) % np.uint64(nbins)
+
+
+def _hash_all(n: int, rate_bits: float, seed: int, alphabet: int, time: int) -> np.ndarray:
+    """Bin index of every length-n sequence (by rank), for one time step."""
+    nbins = _check_hash_params(n, rate_bits, alphabet)
+    ranks = np.arange(alphabet**n, dtype=np.uint64)
+    return _bin_of(ranks, nbins, alphabet**n, seed, time)
 
 
 def hash_bin(
@@ -99,12 +107,8 @@ def hash_bin(
     """
     n = len(x)
     nbins = _check_hash_params(n, rate_bits, alphabet)
-    rank = _rank(x, alphabet)
-    if nbins == alphabet**n:
-        return rank
-    with np.errstate(over="ignore"):
-        salt = _mix64(np.uint64(seed)) + np.uint64(time) + np.uint64(1)
-        return int(_mix64(np.uint64(rank) ^ _mix64(salt)) % np.uint64(nbins))
+    rank = np.uint64(_rank(x, alphabet))
+    return int(_bin_of(rank, nbins, alphabet**n, seed, time))
 
 
 def bin_count(n: int, rate_bits: float, alphabet: int = 2) -> int:
@@ -257,7 +261,7 @@ def streaming_sw_experiment(
     trials: int,
     seed: int,
     horizon: int | None = None,
-    modes: Sequence[str] = ("steady", "post_burst", "delayed"),
+    modes: Sequence[str] = _MODES,
 ) -> dict[str, ModeStats]:
     """Monte-Carlo error rates for the three bin-decoding modes.
 
@@ -279,8 +283,13 @@ def streaming_sw_experiment(
     positions = horizon - B - max(W, T)
     if positions < 1:
         raise InvalidInput("horizon too short for the burst sweep")
+    for m in modes:
+        if m not in _MODES:
+            raise InvalidInput(
+                f"unknown decoding mode {m!r}; choose from {', '.join(_MODES)}"
+            )
     a = chain.alphabet_size
-    stats = {m: ModeStats() for m in ("steady", "post_burst", "delayed")}
+    stats = {m: ModeStats() for m in _MODES}
     tables = [_hash_all(n, rate_bits, seed, a, t) for t in range(horizon)]
     powers = (a ** np.arange(n - 1, -1, -1, dtype=np.int64))
 

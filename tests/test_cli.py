@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from streamcode import gf2
+from streamcode import gf2, sw_binning
 from streamcode.cli import main
 from streamcode.gaussian_stream import QUANT_GAP
 from streamcode.sources import SemiDetSpec
@@ -180,6 +180,24 @@ def test_oracle_periodic_statuses(capsys):
     for r in rows:
         want = "window" if int(r["time"]) % 4 < 2 else "recovered"
         assert r["status"] == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--flip", "0.25", "--modes", "steady,bogus"],
+        ["sweep", "--flip", "0.25", "--modes", "bogus"],
+    ],
+    ids=["oracle", "sweep"],
+)
+def test_unknown_mode_is_an_input_error(argv, capsys, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the modes were checked")
+
+    monkeypatch.setattr(sw_binning, "sample_path", no_trials)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert "'bogus'" in err
 
 
 def test_sweep_errors_fall_with_rate(capsys):

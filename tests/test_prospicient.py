@@ -212,6 +212,24 @@ def test_recovery_after_every_burst_position():
             check_outputs(trace, out, window)
 
 
+def test_w0_deadline_and_steady_step_share_one_code():
+    # with W = 0 a deadline solves one packet at t, the shape of a steady
+    # step at t, so the two must keep separate solvers on a shared code
+    rng = np.random.default_rng(12)
+    spec = sources.random_diagonal_spec(rng, K=2, max_width=3)
+    B, W, n, T = 2, 0, 16, 12
+    trace = sources.gen_diagonal(spec, n, T, seed=25)
+    code = prospicient.design_bincode(spec, B, W, n, seed=12)
+    stream = prospicient.encode(trace, spec, B, W, code)
+    tail = symbol_at(trace, -1)
+    for bp in (1, 2):
+        for j in range(T - bp + 1):
+            check_outputs(trace, prospicient.decode_stream(stream, code, tail))
+            erased = stream.with_erasures(channel.single_burst(j, bp, T))
+            out = prospicient.decode_stream(erased, code, tail)
+            check_outputs(trace, out, window=range(j, j + bp))
+
+
 def test_recovery_on_padded_shallow_spec():
     # depth-1 source used at a (B, W) needing depth 2: normalize_K pads a
     # zero-width layer, and the deep codeword part for that slot is empty
