@@ -2,11 +2,16 @@
 transforms, and bin-decoding sweeps.
 
 Each subcommand reads parameters from flags or from a ``--config`` JSON
-file (flags win), writes CSV or JSON to ``--out`` (default stdout), and
-exits 0 on success, 2 when a structural invariant breaks mid-run, and 3
-on invalid input -- including command-line usage errors.  Identical
-configs and seeds produce byte-identical output; ``--jobs`` only changes
-how trials are scheduled, never what is written.
+file (flags win; a JSON null counts as absent), writes CSV or JSON to
+``--out`` (default stdout), and exits 0 on success, 2 when a structural
+invariant breaks mid-run, and 3 on invalid input -- including
+command-line usage errors.  A config value takes the same forms as its
+flag: a JSON list or a comma-separated string for a list parameter,
+``true`` or ``false`` for ``periodic``, ``[start, length]`` or
+``"start:length"`` for ``burst``; a bad value from either source exits 3
+with the parameter's name.  Identical configs and seeds produce
+byte-identical output; ``--jobs`` only changes how trials are scheduled,
+never what is written.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -72,38 +78,98 @@ def _write_csv(rows: list[dict], fields: list[str], path: str | None) -> None:
     _write_text(buf.getvalue(), path)
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Resolve each parameter: explicit flag, then config file, then default."""
+# ---------------------------------------------------------- parameter kinds
+
+
+class _Kind(NamedTuple):
+    """How a parameter reads one value, a flag's text or a config file's
+    JSON value: ``convert`` returns the typed value or raises ValueError or
+    TypeError; ``flag`` holds extra ``add_argument`` options."""
+
+    expects: str
+    convert: Callable
+    flag: dict = {}
+
+    def __call__(self, name: str, value):
+        try:
+            return self.convert(value)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"{name}: expected {self.expects}, got {value!r}") from exc
+
+
+def _check(ok: Callable, cast: Callable = lambda v: v) -> Callable:
+    """A converter that rejects the values failing ``ok`` and casts the rest."""
+
+    def convert(v):
+        if not ok(v):
+            raise TypeError(v)
+        return cast(v)
+
+    return convert
+
+
+def _list_of(item: Callable) -> Callable:
+    return lambda v: tuple(item(x) for x in (v if isinstance(v, list) else str(v).split(",")))
+
+
+def _to_burst(v) -> tuple[int, int] | None:
+    if v in ("", "none"):
+        return None
+    if isinstance(v, list):
+        start, length = v
+    else:
+        start, _, length = str(v).partition(":")
+        length = length or 1
+    return _INT.convert(start), _INT.convert(length)
+
+
+def _choice(*options: str) -> _Kind:
+    flag = {"metavar": "{" + ",".join(options) + "}"}
+    return _Kind("one of " + ", ".join(options), _check(options.__contains__), flag)
+
+
+# a JSON float (even 2.0) or boolean is no integer, as "2.0" is no flag integer
+_INT = _Kind("an integer", _check(lambda v: not isinstance(v, (bool, float)), int))
+_FLOAT = _Kind("a number", _check(lambda v: not isinstance(v, bool), float))
+_STR = _Kind("a string", _check(lambda v: isinstance(v, str)))
+_INTS = _Kind("a comma-separated integer list", _list_of(_INT.convert))
+_FLOATS = _Kind("a comma-separated number list", _list_of(_FLOAT.convert))
+_STRS = _Kind("a comma-separated list", _list_of(_STR.convert))
+_BURST = _Kind("start:length, none or [start, length]", _to_burst)
+_FLAG = _Kind(
+    "true or false",
+    _check(lambda v: isinstance(v, bool)),
+    {"action": "store_const", "const": True},
+)
+
+# Parameter rows are (name, kind, default[, help]).  The flag is --name
+# with dashes for underscores, the config key is name, and the default is
+# already typed.
+_OUT = ("out", _STR, None, "output path (default stdout)")
+_JOBS = ("jobs", _INT, 1, "worker processes (default 1)")
+_CHAIN = [
+    ("flip", _FLOAT, None, "binary symmetric chain flip probability"),
+    ("chain", _STR, None, "JSON file with a transition matrix"),
+]
+
+
+def _resolve(args: argparse.Namespace, params: list[tuple]) -> argparse.Namespace:
+    """Each parameter's typed value: its flag, else its config-file value
+    (both read by the parameter's kind), else its default."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise InvalidInput("config file must hold a JSON object")
-        unknown = set(cfg) - set(defaults)
+        unknown = set(cfg) - {name for name, *_ in params}
         if unknown:
             raise InvalidInput(f"unknown config keys: {sorted(unknown)}")
-    out = {}
-    for key, fallback in defaults.items():
-        flag = getattr(args, key, None)
-        out[key] = flag if flag is not None else cfg.get(key, fallback)
-    return out
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in str(text).split(","))
-    except ValueError as exc:
-        raise InvalidInput(f"expected a comma-separated integer list: {text!r}") from exc
-
-
-def _floats(text) -> tuple[float, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(x) for x in text)
-    try:
-        return tuple(float(x) for x in str(text).split(","))
-    except ValueError as exc:
-        raise InvalidInput(f"expected a comma-separated number list: {text!r}") from exc
+    typed = argparse.Namespace()
+    for name, kind, default, *_ in params:
+        given = [v for v in (getattr(args, name), cfg.get(name)) if v is not None]
+        setattr(typed, name, kind(name, given[0]) if given else default)
+    return typed
 
 
 def _parse_sweep(text: str) -> tuple[str, list[int]]:
@@ -112,34 +178,24 @@ def _parse_sweep(text: str) -> tuple[str, list[int]]:
     name = name.strip()
     if name not in ("B", "W") or not body:
         raise InvalidInput("sweep must look like W=0..8 or B=0,1,2")
-    if ".." in body:
-        lo, _, hi = body.partition("..")
-        try:
+    try:
+        if ".." in body:
+            lo, _, hi = body.partition("..")
             values = list(range(int(lo), int(hi) + 1))
-        except ValueError as exc:
-            raise InvalidInput(f"bad sweep range: {text!r}") from exc
-    else:
-        values = list(_ints(body))
+        else:
+            values = [int(x) for x in body.split(",")]
+    except ValueError as exc:
+        raise InvalidInput(f"bad sweep values: {text!r}") from exc
     if not values or any(v < 0 for v in values):
         raise InvalidInput("sweep values must be nonnegative")
     return name, values
 
 
-def _parse_burst(text) -> tuple[int, int] | None:
-    if text in (None, "", "none"):
-        return None
-    start, _, length = str(text).partition(":")
-    try:
-        return int(start), int(length) if length else 1
-    except ValueError as exc:
-        raise InvalidInput(f"burst must look like start:length, got {text!r}") from exc
-
-
-def _load_chain(params: dict) -> FiniteMarkovChain:
-    if params.get("flip") is not None:
-        return BinarySymmetricChain(float(params["flip"]))
-    if params.get("chain"):
-        with open(params["chain"]) as fh:
+def _load_chain(p: argparse.Namespace) -> FiniteMarkovChain:
+    if p.flip is not None:
+        return BinarySymmetricChain(p.flip)
+    if p.chain:
+        with open(p.chain) as fh:
             obj = json.load(fh)
         return FiniteMarkovChain(obj["P"] if isinstance(obj, dict) else obj)
     raise InvalidInput("need --flip or --chain to define the source")
@@ -157,68 +213,59 @@ def _map_jobs(fn, payloads: list, jobs: int) -> list:
 # --------------------------------------------------------------------- rates
 
 
-_RATES_DEFAULTS = {
-    "flip": None,
-    "chain": None,
-    "d": None,
-    "B": 1,
-    "W": 0,
-    "sweep": None,
-    "out": None,
-}
+_RATES = [
+    *_CHAIN,
+    ("d", _FLOATS, None, "comma-separated distortion targets (lossy source)"),
+    ("B", _INT, 1),
+    ("W", _INT, 0),
+    ("sweep", _STR, None, "axis sweep, e.g. W=0..8"),
+    _OUT,
+]
 
 
-def cmd_rates(args: argparse.Namespace) -> None:
-    p = _merge_config(args, _RATES_DEFAULTS)
-    name, values = _parse_sweep(p["sweep"]) if p["sweep"] else ("W", [int(p["W"])])
+def cmd_rates(p: argparse.Namespace) -> None:
+    name, values = _parse_sweep(p.sweep) if p.sweep else ("W", [p.W])
+    chain = _load_chain(p) if p.d is None else None
     rows = []
-    if p["d"] is not None:
-        d = _floats(p["d"])
-        for v in values:
-            B, W = (v, int(p["W"])) if name == "B" else (int(p["B"]), v)
-            r_si, r_wz, r_fec = baseline_rates(d, B, W)
-            for scheme, rate in (
-                ("gaussian", gaussian_rate(d, B, W)),
-                ("wz", r_wz),
-                ("si", r_si),
-                ("fec", r_fec),
-            ):
-                rows.append({"scheme": scheme, "B": B, "W": W, "rate": _fmt(rate)})
-    else:
-        chain = _load_chain(p)
-        for v in values:
-            B, W = (v, int(p["W"])) if name == "B" else (int(p["B"]), v)
+    for v in values:
+        B, W = (v, p.W) if name == "B" else (p.B, v)
+        if chain is None:
+            r_si, r_wz, r_fec = baseline_rates(p.d, B, W)
+            gauss = gaussian_rate(p.d, B, W)
+            schemes = (("gaussian", gauss), ("wz", r_wz), ("si", r_si), ("fec", r_fec))
+        else:
             q = RateQuery(B=B, W=W)
-            for scheme, rate in (("r_plus", r_plus(chain, q)), ("r_minus", r_minus(chain, q))):
-                rows.append({"scheme": scheme, "B": B, "W": W, "rate": _fmt(rate)})
-    _write_csv(rows, ["scheme", "B", "W", "rate"], p["out"])
+            schemes = (("r_plus", r_plus(chain, q)), ("r_minus", r_minus(chain, q)))
+        rows += [{"scheme": s, "B": B, "W": W, "rate": _fmt(rate)} for s, rate in schemes]
+    _write_csv(rows, ["scheme", "B", "W", "rate"], p.out)
 
 
 # -------------------------------------------------------------- simulate-det
 
 
-_DET_DEFAULTS = {
-    "spec": None,
-    "widths": "3,2,1",
-    "spec_seed": 0,
-    "B": 1,
-    "W": 1,
-    "n": 64,
-    "delta": 8,
-    "T": 24,
-    "trials": 5,
-    "seed": 0,
-    "jobs": 1,
-    "out": None,
-}
+_DET = [
+    ("spec", _STR, None, "JSON layered-source spec file"),
+    ("widths", _INTS, (3, 2, 1), "layer widths for a seeded random spec"),
+    ("spec_seed", _INT, 0),
+    ("B", _INT, 1),
+    ("W", _INT, 1),
+    ("n", _INT, 64),
+    ("delta", _INT, 8),
+    ("T", _INT, 24),
+    ("trials", _INT, 5),
+    ("seed", _INT, 0),
+    _JOBS,
+    _OUT,
+]
 
 
 def _det_trial(payload: tuple) -> tuple[int, int]:
     """One stream: returns (decode_failures, bit_mismatches outside window)."""
-    spec_json, B, W, n, delta, T, start, blen, trial_seed = payload
+    spec_json, p, start, blen, trial_seed = payload
     spec = DiagonalSourceSpec.from_json(spec_json)
-    trace = gen_diagonal(spec, n, T, seed=trial_seed)
-    bincode = design_bincode(spec, B, W, n, delta=delta, seed=trial_seed)
+    B, W, T = p.B, p.W, p.T
+    trace = gen_diagonal(spec, p.n, T, seed=trial_seed)
+    bincode = design_bincode(spec, B, W, p.n, delta=p.delta, seed=trial_seed)
     stream = encode(trace, spec, B, W, bincode)
     if blen:
         stream = stream.with_erasures(channel.single_burst(start, blen, T))
@@ -243,33 +290,27 @@ def _det_trial(payload: tuple) -> tuple[int, int]:
     return 0, bad
 
 
-def cmd_simulate_det(args: argparse.Namespace) -> None:
-    p = _merge_config(args, _DET_DEFAULTS)
-    if p["spec"]:
-        with open(p["spec"]) as fh:
+def cmd_simulate_det(p: argparse.Namespace) -> None:
+    if p.spec:
+        with open(p.spec) as fh:
             spec = DiagonalSourceSpec.from_json(json.load(fh))
     else:
-        widths = _ints(p["widths"])
-        spec = _full_rank_spec(np.random.default_rng([int(p["spec_seed"]), len(widths)]), widths)
-    B, W, n, delta, T = (int(p[k]) for k in ("B", "W", "n", "delta", "T"))
-    trials = int(p["trials"])
+        spec = _full_rank_spec(np.random.default_rng([p.spec_seed, len(p.widths)]), p.widths)
+    trials = p.trials
     # the lookahead code plans one deep layer per burst slot, so the spec
     # must sit at depth exactly B+W; pad or truncate before fanning out
-    spec = normalize_K(spec, B, W).spec
-    spec_json = spec.to_json()
+    spec_json = normalize_K(spec, p.B, p.W).spec.to_json()
     configs = [
         (start, blen)
-        for blen in range(1, B + 1)
-        for start in range(0, T - blen + 1)
+        for blen in range(1, p.B + 1)
+        for start in range(0, p.T - blen + 1)
     ]
     payloads = []
     for start, blen in configs:
         for i in range(trials):
-            ss = np.random.SeedSequence(entropy=int(p["seed"]), spawn_key=(start, blen, i))
-            payloads.append(
-                (spec_json, B, W, n, delta, T, start, blen, int(ss.generate_state(1)[0]))
-            )
-    results = _map_jobs(_det_trial, payloads, int(p["jobs"]))
+            ss = np.random.SeedSequence(entropy=p.seed, spawn_key=(start, blen, i))
+            payloads.append((spec_json, p, start, blen, int(ss.generate_state(1)[0])))
+    results = _map_jobs(_det_trial, payloads, p.jobs)
     rows = []
     idx = 0
     for start, blen in configs:
@@ -285,38 +326,29 @@ def cmd_simulate_det(args: argparse.Namespace) -> None:
                 "mismatches": mism,
             }
         )
-    _write_csv(rows, ["start", "blen", "trials", "failures", "mismatches"], p["out"])
+    _write_csv(rows, ["start", "blen", "trials", "failures", "mismatches"], p.out)
 
 
 # --------------------------------------------------------- simulate-gaussian
 
 
-_GAUSS_DEFAULTS = {
-    "d": "0.5,0.6,0.70710678",
-    "B": 1,
-    "W": 1,
-    "n": 64,
-    "T": 12,
-    "burst": None,
-    "mode": "ideal",
-    "delta": 8,
-    "seed": 0,
-    "out": None,
-}
+_GAUSS = [
+    ("d", _FLOATS, (0.5, 0.6, 0.70710678)),
+    ("B", _INT, 1),
+    ("W", _INT, 1),
+    ("n", _INT, 64),
+    ("T", _INT, 12),
+    ("burst", _BURST, None, "start:length"),
+    ("mode", _choice("ideal", "binned"), "ideal"),
+    ("delta", _INT, 8),
+    ("seed", _INT, 0),
+    _OUT,
+]
 
 
-def cmd_simulate_gaussian(args: argparse.Namespace) -> None:
-    p = _merge_config(args, _GAUSS_DEFAULTS)
+def cmd_simulate_gaussian(p: argparse.Namespace) -> None:
     report = gaussian_pipeline(
-        _floats(p["d"]),
-        int(p["B"]),
-        int(p["W"]),
-        n=int(p["n"]),
-        T=int(p["T"]),
-        burst=_parse_burst(p["burst"]),
-        mode=str(p["mode"]),
-        seed=int(p["seed"]),
-        delta=int(p["delta"]),
+        p.d, p.B, p.W, n=p.n, T=p.T, burst=p.burst, mode=p.mode, seed=p.seed, delta=p.delta
     )
     rows = []
     for t in sorted(report.delivered):
@@ -331,31 +363,30 @@ def cmd_simulate_gaussian(args: argparse.Namespace) -> None:
                     "met": int(mse <= QUANT_GAP * target),
                 }
             )
-    _write_csv(rows, ["time", "lag", "mse", "target", "met"], p["out"])
+    _write_csv(rows, ["time", "lag", "mse", "target", "met"], p.out)
 
 
 # ----------------------------------------------------------------- transform
 
 
-_TRANSFORM_DEFAULTS = {
-    "spec": None,
-    "random_seed": None,
-    "symbols": 64,
-    "copies": 3,
-    "out": None,
-}
+_TRANSFORM = [
+    ("spec", _STR, None, "JSON two-layer source spec"),
+    ("random_seed", _INT, None),
+    ("symbols", _INT, 64),
+    ("copies", _INT, 3),
+    _OUT,
+]
 
 
-def cmd_transform(args: argparse.Namespace) -> None:
-    p = _merge_config(args, _TRANSFORM_DEFAULTS)
-    if p["spec"]:
-        with open(p["spec"]) as fh:
+def cmd_transform(p: argparse.Namespace) -> None:
+    if p.spec:
+        with open(p.spec) as fh:
             spec = SemiDetSpec.from_json(json.load(fh))
-    elif p["random_seed"] is not None:
-        spec = random_semidet_spec(np.random.default_rng(int(p["random_seed"])))
+    elif p.random_seed is not None:
+        spec = random_semidet_spec(np.random.default_rng(p.random_seed))
     else:
         raise InvalidInput("need --spec or --random-seed")
-    T, n = int(p["symbols"]), int(p["copies"])
+    T, n = p.symbols, p.copies
     trace = gen_semidet(spec, n=n, T=T, seed=0)
 
     checks: dict = {"symbols": T, "copies": n}
@@ -388,7 +419,7 @@ def cmd_transform(args: argparse.Namespace) -> None:
         "derived": diag.to_json(),
         "checks": checks,
     }
-    _write_text(json.dumps(artifact, sort_keys=True, indent=2) + "\n", p["out"])
+    _write_text(json.dumps(artifact, sort_keys=True, indent=2) + "\n", p.out)
     if not same:
         raise InvariantViolation("transform roundtrip failed to restore the trace")
 
@@ -396,244 +427,151 @@ def cmd_transform(args: argparse.Namespace) -> None:
 # -------------------------------------------------------------------- oracle
 
 
-_ORACLE_DEFAULTS = {
-    "flip": None,
-    "chain": None,
-    "B": 1,
-    "W": 0,
-    "T": 1,
-    "rate": None,
-    "n": 12,
-    "trials": 200,
-    "seed": 0,
-    "modes": "steady,post_burst,delayed",
-    "horizon": None,
-    "periodic": False,
-    "out": None,
-}
+_ORACLE = [
+    *_CHAIN,
+    ("B", _INT, 1),
+    ("W", _INT, 0),
+    ("T", _INT, 1),
+    ("rate", _FLOAT, None),
+    ("n", _INT, 12),
+    ("trials", _INT, 200),
+    ("seed", _INT, 0),
+    ("modes", _STRS, ("steady", "post_burst", "delayed")),
+    ("horizon", _INT, None),
+    ("periodic", _FLAG, False),
+    _OUT,
+]
 
 
-def cmd_oracle(args: argparse.Namespace) -> None:
-    p = _merge_config(args, _ORACLE_DEFAULTS)
+def cmd_oracle(p: argparse.Namespace) -> None:
     chain = _load_chain(p)
-    B, W, T, n = (int(p[k]) for k in ("B", "W", "T", "n"))
-    rate = float(p["rate"]) if p["rate"] is not None else r_plus(chain, RateQuery(B=B, W=W))
-    if p["periodic"]:
-        horizon = int(p["horizon"]) if p["horizon"] is not None else 3 * (B + T + 1)
-        states = periodic_delay_run(chain, B, T, rate, n, horizon, int(p["seed"]))
+    rate = p.rate if p.rate is not None else r_plus(chain, RateQuery(B=p.B, W=p.W))
+    if p.periodic:
+        horizon = p.horizon if p.horizon is not None else 3 * (p.B + p.T + 1)
+        states = periodic_delay_run(chain, p.B, p.T, rate, p.n, horizon, p.seed)
         rows = [{"time": t, "status": s[0]} for t, s in enumerate(states)]
-        _write_csv(rows, ["time", "status"], p["out"])
+        _write_csv(rows, ["time", "status"], p.out)
         return
-    modes = tuple(str(p["modes"]).split(","))
     stats = streaming_sw_experiment(
-        chain,
-        B,
-        W,
-        T,
-        rate,
-        n,
-        int(p["trials"]),
-        int(p["seed"]),
-        horizon=None if p["horizon"] is None else int(p["horizon"]),
-        modes=modes,
+        chain, p.B, p.W, p.T, rate, p.n, p.trials, p.seed, horizon=p.horizon, modes=p.modes
     )
     rows = [
         {
             "mode": mode,
             "rate": _fmt(rate),
-            "n": n,
-            "trials": int(p["trials"]),
+            "n": p.n,
+            "trials": p.trials,
             "decodes": stats[mode].decodes,
             "errors": stats[mode].errors,
             "ties": stats[mode].ties,
             "error_rate": _fmt(stats[mode].error_rate),
         }
-        for mode in modes
+        for mode in p.modes
     ]
     _write_csv(
         rows,
         ["mode", "rate", "n", "trials", "decodes", "errors", "ties", "error_rate"],
-        p["out"],
+        p.out,
     )
 
 
 # --------------------------------------------------------------------- sweep
 
 
-_SWEEP_DEFAULTS = {
-    "flip": None,
-    "chain": None,
-    "B": 1,
-    "W": 0,
-    "T": 1,
-    "n": 12,
-    "trials": 400,
-    "seed": 0,
-    "modes": "steady,post_burst",
-    "rates": None,
-    "offsets": "-0.1,0,0.15",
-    "threshold": "plus",
-    "horizon": None,
-    "jobs": 1,
-    "out": None,
-}
+_SWEEP = [
+    *_CHAIN,
+    ("B", _INT, 1),
+    ("W", _INT, 0),
+    ("T", _INT, 1),
+    ("n", _INT, 12),
+    ("trials", _INT, 400),
+    ("seed", _INT, 0),
+    ("modes", _STRS, ("steady", "post_burst")),
+    ("rates", _FLOATS, None, "explicit rate list"),
+    ("offsets", _FLOATS, (-0.1, 0.0, 0.15), "offsets from the threshold rate"),
+    ("threshold", _choice("plus", "delay"), "plus"),
+    ("horizon", _INT, None),
+    _JOBS,
+    _OUT,
+]
 
 
 def _sweep_point(payload: tuple) -> list[dict]:
-    P, B, W, T, rate, n, trials, seed, modes, horizon = payload
-    chain = FiniteMarkovChain(P)
+    P, p, rate = payload
     stats = streaming_sw_experiment(
-        chain, B, W, T, rate, n, trials, seed, horizon=horizon, modes=modes
+        FiniteMarkovChain(P), p.B, p.W, p.T, rate, p.n, p.trials, p.seed,
+        horizon=p.horizon, modes=p.modes,
     )
     return [
         {
             "rate": _fmt(rate),
             "mode": mode,
-            "trials": trials,
+            "trials": p.trials,
             "decodes": stats[mode].decodes,
             "errors": stats[mode].errors,
             "error_rate": _fmt(stats[mode].error_rate),
         }
-        for mode in modes
+        for mode in p.modes
     ]
 
 
-def cmd_sweep(args: argparse.Namespace) -> None:
-    p = _merge_config(args, _SWEEP_DEFAULTS)
+def cmd_sweep(p: argparse.Namespace) -> None:
     chain = _load_chain(p)
-    B, W, T, n = (int(p[k]) for k in ("B", "W", "T", "n"))
-    if p["rates"] is not None:
-        points = sorted(_floats(p["rates"]))
+    if p.rates is not None:
+        points = sorted(p.rates)
     else:
-        if p["threshold"] == "delay":
-            thr = r_delay(chain, B, T)
-        elif p["threshold"] == "plus":
-            thr = r_plus(chain, RateQuery(B=B, W=W))
+        if p.threshold == "delay":
+            thr = r_delay(chain, p.B, p.T)
         else:
-            raise InvalidInput("threshold must be 'plus' or 'delay'")
-        points = sorted(thr + o for o in _floats(p["offsets"]))
-    modes = tuple(str(p["modes"]).split(","))
-    horizon = None if p["horizon"] is None else int(p["horizon"])
+            thr = r_plus(chain, RateQuery(B=p.B, W=p.W))
+        points = sorted(thr + o for o in p.offsets)
     p_mat = chain.P.tolist()
-    payloads = [
-        (p_mat, B, W, T, rate, n, int(p["trials"]), int(p["seed"]), modes, horizon)
-        for rate in points
-    ]
-    chunks = _map_jobs(_sweep_point, payloads, int(p["jobs"]))
+    chunks = _map_jobs(_sweep_point, [(p_mat, p, rate) for rate in points], p.jobs)
     rows = [row for chunk in chunks for row in chunk]
     _write_csv(
-        rows, ["rate", "mode", "trials", "decodes", "errors", "error_rate"], p["out"]
+        rows, ["rate", "mode", "trials", "decodes", "errors", "error_rate"], p.out
     )
 
 
 # ---------------------------------------------------------------- the parser
 
 
+_COMMANDS = {
+    "rates": (cmd_rates, "closed-form rate tables as CSV", _RATES),
+    "simulate-det": (cmd_simulate_det, "layered-source streaming over bursts", _DET),
+    "simulate-gaussian": (cmd_simulate_gaussian, "lossy streaming pipeline report", _GAUSS),
+    "transform": (cmd_transform, "reduce a two-layer source to layered form", _TRANSFORM),
+    "oracle": (cmd_oracle, "small-block bin decoding experiment", _ORACLE),
+    "sweep": (cmd_sweep, "bin-decoding error rates across rates", _SWEEP),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="streamcode", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp: argparse.ArgumentParser, jobs: bool = False) -> None:
+    for command, (_, summary, params) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
+        for name, kind, _, *doc in params:
+            sp.add_argument(
+                "--" + name.replace("_", "-"), help=doc[0] if doc else None, **kind.flag
+            )
         sp.add_argument("--config", help="JSON file of parameters; flags override")
-        sp.add_argument("--out", help="output path (default stdout)")
-        if jobs:
-            sp.add_argument("--jobs", type=int, help="worker processes (default 1)")
-
-    sp = sub.add_parser("rates", help="closed-form rate tables as CSV")
-    sp.add_argument("--flip", type=float, help="binary symmetric chain flip probability")
-    sp.add_argument("--chain", help="JSON file with a transition matrix")
-    sp.add_argument("--d", help="comma-separated distortion targets (lossy source)")
-    sp.add_argument("--B", type=int)
-    sp.add_argument("--W", type=int)
-    sp.add_argument("--sweep", help="axis sweep, e.g. W=0..8")
-    common(sp)
-    sp.set_defaults(func=cmd_rates)
-
-    sp = sub.add_parser("simulate-det", help="layered-source streaming over bursts")
-    sp.add_argument("--spec", help="JSON layered-source spec file")
-    sp.add_argument("--widths", help="layer widths for a seeded random spec")
-    sp.add_argument("--spec-seed", dest="spec_seed", type=int)
-    sp.add_argument("--B", type=int)
-    sp.add_argument("--W", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--delta", type=int)
-    sp.add_argument("--T", type=int)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
-    common(sp, jobs=True)
-    sp.set_defaults(func=cmd_simulate_det)
-
-    sp = sub.add_parser("simulate-gaussian", help="lossy streaming pipeline report")
-    sp.add_argument("--d")
-    sp.add_argument("--B", type=int)
-    sp.add_argument("--W", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--T", type=int)
-    sp.add_argument("--burst", help="start:length")
-    sp.add_argument("--mode", choices=["ideal", "binned"])
-    sp.add_argument("--delta", type=int)
-    sp.add_argument("--seed", type=int)
-    common(sp)
-    sp.set_defaults(func=cmd_simulate_gaussian)
-
-    sp = sub.add_parser("transform", help="reduce a two-layer source to layered form")
-    sp.add_argument("--spec", help="JSON two-layer source spec")
-    sp.add_argument("--random-seed", dest="random_seed", type=int)
-    sp.add_argument("--symbols", type=int)
-    sp.add_argument("--copies", type=int)
-    common(sp)
-    sp.set_defaults(func=cmd_transform)
-
-    sp = sub.add_parser("oracle", help="small-block bin decoding experiment")
-    sp.add_argument("--flip", type=float)
-    sp.add_argument("--chain")
-    sp.add_argument("--B", type=int)
-    sp.add_argument("--W", type=int)
-    sp.add_argument("--T", type=int)
-    sp.add_argument("--rate", type=float)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--modes")
-    sp.add_argument("--horizon", type=int)
-    sp.add_argument("--periodic", action="store_const", const=True)
-    common(sp)
-    sp.set_defaults(func=cmd_oracle)
-
-    sp = sub.add_parser("sweep", help="bin-decoding error rates across rates")
-    sp.add_argument("--flip", type=float)
-    sp.add_argument("--chain")
-    sp.add_argument("--B", type=int)
-    sp.add_argument("--W", type=int)
-    sp.add_argument("--T", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--modes")
-    sp.add_argument("--rates", help="explicit rate list")
-    sp.add_argument("--offsets", help="offsets from the threshold rate")
-    sp.add_argument("--threshold", choices=["plus", "delay"])
-    sp.add_argument("--horizon", type=int)
-    common(sp, jobs=True)
-    sp.set_defaults(func=cmd_sweep)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    func, _, params = _COMMANDS[args.command]
     try:
-        args.func(args)
+        func(_resolve(args, params))
     # PatternViolation subclasses InvalidInput, so the exit-2 group must
     # be tried first: a broken erasure pattern is a structural failure of
     # the run, not a usage error.
     except (InvariantViolation, PatternViolation, DecodeFailure) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    # a file that is not JSON (config, chain or spec) is bad input too
+    except (InvalidInput, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -139,6 +139,7 @@ def ml_decode(
     rate_bits: float,
     seed: int,
     side_gap: int = 1,
+    _tables: Sequence[np.ndarray] | None = None,
 ) -> tuple[list[tuple[int, ...]], bool]:
     """Exact maximum-likelihood decoding of a window of binned blocks.
 
@@ -148,6 +149,9 @@ def ml_decode(
             or None to fall back on the stationary law.
         times: consecutive time indices of the unknown blocks (each block
             was hashed with its own time salt).
+        _tables: private; the caller's read-only ``_hash_all`` tables for
+            these n, rate_bits, seed and alphabet, indexed by time, so a
+            window reuses them instead of rebuilding its own.
 
     Returns:
         (blocks, tie): the jointly most likely blocks consistent with
@@ -172,7 +176,7 @@ def ml_decode(
 
     cand_digits: list[np.ndarray] = []
     for t, b in zip(times, bins):
-        table = _hash_all(n, rate_bits, seed, a, t)
+        table = _hash_all(n, rate_bits, seed, a, t) if _tables is None else _tables[t]
         ranks = np.nonzero(table == np.uint64(b))[0]
         if len(ranks) == 0:
             raise ImpossibleBin(f"no sequence hashes to bin {b} at time {t}")
@@ -290,7 +294,10 @@ def streaming_sw_experiment(
             )
     a = chain.alphabet_size
     stats = {m: ModeStats() for m in _MODES}
+    # built once per time and shared with every ml_decode window below
     tables = [_hash_all(n, rate_bits, seed, a, t) for t in range(horizon)]
+    for table in tables:
+        table.flags.writeable = False
     powers = (a ** np.arange(n - 1, -1, -1, dtype=np.int64))
 
     def decode(ts, side, gap):
@@ -303,6 +310,7 @@ def streaming_sw_experiment(
             rate_bits=rate_bits,
             seed=seed,
             side_gap=gap,
+            _tables=tables,
         )
 
     for trial in range(trials):

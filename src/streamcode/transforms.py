@@ -218,10 +218,6 @@ class LinearMap:
         except ValueError:
             raise InvariantViolation("map matrix is singular") from None
 
-    @property
-    def memoryless(self) -> bool:
-        return True
-
     def inverse_matrix(self) -> gf2.BitMatrix:
         return gf2.invert(self.matrix)
 
@@ -307,8 +303,7 @@ def lf_transform(spec: SemiDetSpec) -> tuple[LinearMap, UpperTriSpec]:
     else:  # pragma: no cover - termination is guaranteed by the rank drop
         raise AssertionError("layer peeling did not terminate within the width bound")
 
-    ginv = gf2.invert(gf2.BitMatrix.from_bits(g)).to_bits()
-    phi = np.concatenate([gf2.mul(g, a), gf2.mul(gf2.mul(g, b), ginv)], axis=1)
+    # the loop breaks before g changes, so phi is the final g's transition
     rows = _offsets(widths[1:])
     cols = _offsets(widths)
     K = len(widths) - 1

@@ -236,3 +236,58 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("scheme,B,W,rate")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, key, value",
+    [
+        (["simulate-det", "--B", "1", "--W", "0", "--n", "16", "--T", "4", "--trials", "1"],
+         ["--widths", "2,1"], "widths", [2, 1]),
+        (["oracle", "--flip", "0.25", "--n", "8", "--trials", "10"],
+         ["--modes", "steady,post_burst"], "modes", ["steady", "post_burst"]),
+        (["simulate-gaussian", "--n", "32", "--T", "6"], ["--burst", "3:1"], "burst", [3, 1]),
+        (["rates", "--B", "2", "--sweep", "W=0..1"], ["--d", "0.5,0.6"], "d", [0.5, 0.6]),
+    ],
+    ids=["widths", "modes", "burst", "d"],
+)
+def test_config_list_forms_match_flags(argv, flag, key, value, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, from_flag, _ = run_cli(argv + flag, capsys)
+    assert code == 0
+    assert run_cli(argv + ["--config", str(cfg)], capsys) == (0, from_flag, "")
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["rates", "--flip", "0.25"], "B", "x"),
+        (["oracle", "--flip", "0.25", "--n", "8"], "trials", "many"),
+        (["rates", "--flip", "0.25"], "B", 1.7),
+        (["oracle", "--flip", "0.25", "--n", "8", "--trials", "10"], "periodic", "no"),
+    ],
+    ids=["B-text", "trials-text", "B-fraction", "periodic-text"],
+)
+def test_bad_config_value_is_an_input_error(argv, key, value, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {key}:") and "Traceback" not in err
+
+
+def test_config_that_is_not_json_is_an_input_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"flip": 0.25,')
+    code, out, err = run_cli(["rates", "--config", str(cfg)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_sweep_jobs_do_not_change_output(capsys):
+    argv = ["sweep", "--flip", "0.25", "--B", "1", "--W", "0", "--n", "8",
+            "--trials", "20", "--modes", "steady,post_burst"]
+    code, serial, _ = run_cli(argv + ["--jobs", "1"], capsys)
+    assert code == 0
+    _, parallel, _ = run_cli(argv + ["--jobs", "2"], capsys)
+    assert serial == parallel
