@@ -130,6 +130,7 @@ def _choice(*options: str) -> _Kind:
 
 # a JSON float (even 2.0) or boolean is no integer, as "2.0" is no flag integer
 _INT = _Kind("an integer", _check(lambda v: not isinstance(v, (bool, float)), int))
+_SEED = _Kind("a nonnegative integer", _check(lambda v: _INT.convert(v) >= 0, int))
 _FLOAT = _Kind("a number", _check(lambda v: not isinstance(v, bool), float))
 _STR = _Kind("a string", _check(lambda v: isinstance(v, str)))
 _INTS = _Kind("a comma-separated integer list", _list_of(_INT.convert))
@@ -197,7 +198,9 @@ def _load_chain(p: argparse.Namespace) -> FiniteMarkovChain:
     if p.chain:
         with open(p.chain) as fh:
             obj = json.load(fh)
-        return FiniteMarkovChain(obj["P"] if isinstance(obj, dict) else obj)
+        if isinstance(obj, dict):
+            return FiniteMarkovChain.from_json(obj)
+        return FiniteMarkovChain(obj)
     raise InvalidInput("need --flip or --chain to define the source")
 
 
@@ -246,14 +249,14 @@ def cmd_rates(p: argparse.Namespace) -> None:
 _DET = [
     ("spec", _STR, None, "JSON layered-source spec file"),
     ("widths", _INTS, (3, 2, 1), "layer widths for a seeded random spec"),
-    ("spec_seed", _INT, 0),
+    ("spec_seed", _SEED, 0),
     ("B", _INT, 1),
     ("W", _INT, 1),
     ("n", _INT, 64),
     ("delta", _INT, 8),
     ("T", _INT, 24),
     ("trials", _INT, 5),
-    ("seed", _INT, 0),
+    ("seed", _SEED, 0),
     _JOBS,
     _OUT,
 ]
@@ -341,7 +344,7 @@ _GAUSS = [
     ("burst", _BURST, None, "start:length"),
     ("mode", _choice("ideal", "binned"), "ideal"),
     ("delta", _INT, 8),
-    ("seed", _INT, 0),
+    ("seed", _SEED, 0),
     _OUT,
 ]
 
@@ -371,7 +374,7 @@ def cmd_simulate_gaussian(p: argparse.Namespace) -> None:
 
 _TRANSFORM = [
     ("spec", _STR, None, "JSON two-layer source spec"),
-    ("random_seed", _INT, None),
+    ("random_seed", _SEED, None),
     ("symbols", _INT, 64),
     ("copies", _INT, 3),
     _OUT,
@@ -435,7 +438,7 @@ _ORACLE = [
     ("rate", _FLOAT, None),
     ("n", _INT, 12),
     ("trials", _INT, 200),
-    ("seed", _INT, 0),
+    ("seed", _SEED, 0),
     ("modes", _STRS, ("steady", "post_burst", "delayed")),
     ("horizon", _INT, None),
     ("periodic", _FLAG, False),
@@ -485,7 +488,7 @@ _SWEEP = [
     ("T", _INT, 1),
     ("n", _INT, 12),
     ("trials", _INT, 400),
-    ("seed", _INT, 0),
+    ("seed", _SEED, 0),
     ("modes", _STRS, ("steady", "post_burst")),
     ("rates", _FLOATS, None, "explicit rate list"),
     ("offsets", _FLOATS, (-0.1, 0.0, 0.15), "offsets from the threshold rate"),

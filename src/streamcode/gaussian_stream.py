@@ -3,7 +3,8 @@
 The encoder quantizes each time block with a successive-refinement scalar
 quantizer: one uniform grid per sample, nested so that dropping the finest
 digits leaves a coarser but still valid quantizer.  Digits are split into
-layers sized by the per-layer rate increments, the layers are rearranged
+layers sized by the per-layer rate increments; each layer's block is one
+mixed-radix packing of its per-slot digits.  The layers are rearranged
 into a layered linear bit source (fresh finest digits enter at the top,
 coarser suffixes drain diagonally), and that bit source rides the same
 burst-robust transport as any other layered source.  After a burst of up
@@ -262,61 +263,40 @@ def sr_codec(rates: LayerRates, *, gamma: float = 0.9, clamp: float = 5.0) -> SR
     )
 
 
-def _bits_msb(vals: np.ndarray, width: int) -> np.ndarray:
-    """(g,) nonnegative ints -> (g, width) uint8, most significant first."""
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    return ((vals.astype(np.uint64)[:, None] >> shifts) & 1).astype(np.uint8)
-
-
-def _ints_msb(bits: np.ndarray) -> np.ndarray:
-    """(g, width) bits -> (g,) uint64 values, inverse of _bits_msb."""
-    if bits.shape[1] == 0:
-        return np.zeros(bits.shape[0], dtype=np.uint64)
-    weights = np.uint64(1) << np.arange(bits.shape[1] - 1, -1, -1, dtype=np.uint64)
-    return bits.astype(np.uint64) @ weights
-
-
 def _pack_mixed_radix(idx: np.ndarray, radices: np.ndarray, width: int) -> np.ndarray:
-    """Pack per-slot indices (g, m) with per-slot radices into width-bit rows."""
-    g = idx.shape[0]
-    if width == 0:
-        return np.zeros((g, 0), np.uint8)
-    span = math.prod(int(x) for x in radices)
-    if span <= 1 << 62:
-        v = np.zeros(g, dtype=np.uint64)
-        for s in range(idx.shape[1]):
-            v = v * np.uint64(radices[s]) + idx[:, s].astype(np.uint64)
-        return _bits_msb(v, width)
-    out = np.zeros((g, width), np.uint8)
-    for i in range(g):
+    """Pack per-slot indices (g, m) with per-slot radices into width-bit rows.
+
+    Row i holds, most significant bit first, the integer whose mixed-radix
+    digits are idx[i] (slot 0 most significant).  The arithmetic runs on
+    Python integers, so it is exact at any span; ``width`` must hold it.
+    """
+    nbytes = -(-width // 8)
+    rad = [int(r) for r in radices]
+    buf = bytearray()
+    for row in idx.tolist():
         v = 0
-        for s in range(idx.shape[1]):
-            v = v * int(radices[s]) + int(idx[i, s])
-        for b in range(width):
-            out[i, width - 1 - b] = (v >> b) & 1
-    return out
+        for r, x in zip(rad, row):
+            v = v * r + x
+        buf += v.to_bytes(nbytes, "big")
+    packed = np.frombuffer(bytes(buf), np.uint8).reshape(idx.shape[0], nbytes)
+    return np.unpackbits(packed, axis=1)[:, 8 * nbytes - width :]
 
 
 def _unpack_mixed_radix(bits: np.ndarray, radices: np.ndarray) -> np.ndarray:
-    """Inverse of _pack_mixed_radix: (g, width) bits -> (g, m) indices."""
+    """Inverse of _pack_mixed_radix: (g, width) bits -> (g, m) indices.
+    A value beyond the span keeps only its digits modulo the radices."""
     g, width = bits.shape
-    m = len(radices)
-    out = np.zeros((g, m), dtype=np.int64)
-    span = math.prod(int(x) for x in radices)
-    if span <= 1 << 62:
-        v = _ints_msb(bits)
-        for s in range(m - 1, -1, -1):
-            out[:, s] = (v % np.uint64(radices[s])).astype(np.int64)
-            v //= np.uint64(radices[s])
-        return out
+    rad = [int(r) for r in radices][::-1]
+    packed = np.packbits(bits, axis=1)
+    nbytes = packed.shape[1]
+    data = packed.tobytes()
+    out = []
     for i in range(g):
-        v = 0
-        for b in range(width):
-            v = (v << 1) | int(bits[i, b])
-        for s in range(m - 1, -1, -1):
-            out[i, s] = v % int(radices[s])
-            v //= int(radices[s])
-    return out
+        v = int.from_bytes(data[i * nbytes : (i + 1) * nbytes], "big") >> (8 * nbytes - width)
+        for r in rad:
+            v, x = divmod(v, r)
+            out.append(x)
+    return np.array(out, dtype=np.int64).reshape(g, len(rad))[:, ::-1]
 
 
 def sr_encode(
@@ -324,9 +304,12 @@ def sr_encode(
 ) -> np.ndarray:
     """Quantize one time block into its layered digit bits.
 
-    Returns the concatenated per-layer bit blocks (finest first) as a flat
-    uint8 array; slicing off the first k blocks leaves exactly the bits a
-    decoder needs for quality at lag W + k.
+    Each layer's block is one mixed-radix packing per group of its per-slot
+    digits: radix 2**refine_bits for a refinement layer (so its bits are
+    the slots' digits written MSB-first and concatenated), the carrier's
+    level counts for the carrier.  Returns the concatenated per-layer bit
+    blocks (finest first) as a flat uint8 array; slicing off the first k
+    blocks leaves exactly the bits a decoder needs for quality at lag W + k.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
@@ -340,23 +323,15 @@ def sr_encode(
     f = np.floor(w / codec.step0[None, :]).astype(np.int64)
     blocks: list[np.ndarray] = []
     for j in range(codec.carrier):
-        rho = (1 << codec.refine_bits[j]).astype(np.int64)
-        digits = np.mod(f, rho[None, :])
-        f = np.floor_divide(f, rho[None, :])
-        cols = [
-            _bits_msb(digits[:, s], int(codec.refine_bits[j, s]))
-            for s in range(codec.group)
-            if codec.refine_bits[j, s]
-        ]
-        block = np.concatenate(cols, axis=1) if cols else np.zeros((g, 0), np.uint8)
-        blocks.append(block.ravel())
+        rho = 1 << codec.refine_bits[j]
+        blocks.append(_pack_mixed_radix(np.mod(f, rho), rho, codec.group_bits[j]).ravel())
+        f = np.floor_divide(f, rho)
     fmax = codec.levels - codec.shift - 1
     idx = np.clip(f, -codec.shift, fmax) + codec.shift
     blocks.append(
         _pack_mixed_radix(idx, codec.levels, codec.group_bits[codec.carrier]).ravel()
     )
-    blocks.extend(np.zeros(0, np.uint8) for _ in range(codec.carrier + 1, codec.rates.B + 1))
-    return np.concatenate(blocks) if blocks else np.zeros(0, np.uint8)
+    return np.concatenate(blocks)
 
 
 def sr_decode(
@@ -377,28 +352,18 @@ def sr_decode(
     if not 0 <= from_layer <= codec.rates.B:
         raise InvalidInput("layer index out of range")
     g = codec._groups(n)
-    widths = codec.layer_widths(n)
+    offs = codec.block_offsets(n)
     bits = np.asarray(bits, dtype=np.uint8).ravel()
-    if bits.shape[0] != sum(widths[from_layer:]):
+    if bits.shape[0] != offs[-1] - offs[from_layer]:
         raise InvalidInput("bit count does not match the layer suffix width")
     if codec.carrier is None or from_layer > codec.carrier:
         return np.zeros(n)
-    offs = [0]
-    for wdt in widths[from_layer:]:
-        offs.append(offs[-1] + wdt)
-    local = lambda j: slice(offs[j - from_layer], offs[j - from_layer + 1])
-    carrier_bits = bits[local(codec.carrier)].reshape(g, -1)
-    f = _unpack_mixed_radix(carrier_bits, codec.levels) - codec.shift[None, :]
+    base = offs[from_layer]
+    layer = lambda j: bits[offs[j] - base : offs[j + 1] - base].reshape(g, -1)
+    f = _unpack_mixed_radix(layer(codec.carrier), codec.levels) - codec.shift[None, :]
     for j in range(codec.carrier - 1, from_layer - 1, -1):
-        block = bits[local(j)].reshape(g, -1)
-        digits = np.zeros((g, codec.group), dtype=np.int64)
-        col = 0
-        for s in range(codec.group):
-            width = int(codec.refine_bits[j, s])
-            if width:
-                digits[:, s] = _ints_msb(block[:, col : col + width]).astype(np.int64)
-                col += width
-        f = f * (1 << codec.refine_bits[j])[None, :].astype(np.int64) + digits
+        rho = 1 << codec.refine_bits[j]
+        f = f * rho[None, :] + _unpack_mixed_radix(layer(j), rho)
     u = codec._dither(n, time, seed)
     step = codec.step0 * 2.0 ** codec.below[from_layer]
     return ((f + 0.5) * step[None, :] - u).ravel()
@@ -586,22 +551,16 @@ def gaussian_pipeline(
     offs = codec.block_offsets(n)
 
     if mode == "ideal":
-        # packet i carries the full block of time i plus one coarse suffix
-        # per deeper layer; track the finest level held for every time
-        best: dict[int, int] = {t: 0 for t in range(-lead, 0)}
-        for i in range(T):
-            if i in erased:
-                continue
-            for k in range(B + 1):
-                prev = best.get(i - k)
-                best[i - k] = k if prev is None else min(prev, k)
+        # packet i carries the full block of time i and the suffix from layer
+        # k of time i - k, so block (src, layer) is held once any packet in
+        # [src, src + layer] arrived; negative times are revealed history
         served = [
-            all(best.get(t - ell, B + 1) <= 0 for ell in range(W + 1))
-            and all(best.get(t - W - k, B + 1) <= k for k in range(1, B + 1))
+            all(
+                src < 0 or any(i not in erased for i in range(src, src + layer + 1))
+                for src, layer in expected_delivery(t, B, W)
+            )
             for t in range(T)
         ]
-        full_bits = lambda t, ell: blocks[lead + t - ell]
-        deep_bits = lambda t, k: blocks[lead + t - W - k, offs[k] :]
     else:
         spec, trace = layer_rearrange(codec, blocks)
         bincode = design_bincode(spec, B, W, n=1, delta=delta, seed=seed)
@@ -612,20 +571,10 @@ def gaussian_pipeline(
         outs = decode_stream(stream, bincode, tail_symbol)
         served = [out is not None for out in outs]
         for t, out in enumerate(outs):
-            if out is None:
-                continue
-            for ell in range(W + 1):
-                if not np.array_equal(out[ell][0], blocks[lead + t - ell]):
-                    raise InvariantViolation(
-                        f"decoded bits diverge from the encoder at time {t}"
-                    )
-            for k in range(1, B + 1):
-                if not np.array_equal(out[W + k][0], blocks[lead + t - W - k, offs[k] :]):
-                    raise InvariantViolation(
-                        f"decoded bits diverge from the encoder at time {t}"
-                    )
-        full_bits = lambda t, ell: outs[t][ell][0]
-        deep_bits = lambda t, k: outs[t][W + k][0]
+            if out is not None and not all(
+                np.array_equal(sym, trace.symbol(t, j)) for j, sym in enumerate(out)
+            ):
+                raise InvariantViolation(f"decoded bits diverge from the encoder at time {t}")
 
     for t in range(T):
         if not served[t] and t not in window:
@@ -637,14 +586,10 @@ def gaussian_pipeline(
         if not served[t]:
             continue
         delivered[t] = expected_delivery(t, B, W)
-        for ell in range(W + 1):
-            src = t - ell
-            xh = sr_decode(codec, full_bits(t, ell), n=n, from_layer=0, time=src, seed=seed)
-            mse[t, ell] = float(np.mean((xh - samples[lead + src]) ** 2))
-        for k in range(1, B + 1):
-            src = t - W - k
-            xh = sr_decode(codec, deep_bits(t, k), n=n, from_layer=k, time=src, seed=seed)
-            mse[t, W + k] = float(np.mean((xh - samples[lead + src]) ** 2))
+        for lag, (src, layer) in enumerate(delivered[t]):
+            bits = blocks[lead + src, offs[layer] :]
+            xh = sr_decode(codec, bits, n=n, from_layer=layer, time=src, seed=seed)
+            mse[t, lag] = float(np.mean((xh - samples[lead + src]) ** 2))
 
     lag_mse = tuple(
         float(np.mean(col[np.isfinite(col)])) if np.isfinite(col).any() else float("nan")

@@ -46,10 +46,13 @@ class FiniteMarkovChain:
     """
 
     def __init__(self, transition: Any) -> None:
-        P = np.asarray(transition, dtype=float)
+        try:
+            P = np.asarray(transition, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput("transition matrix must be a numeric 2-D array") from exc
         if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] == 0:
             raise InvalidInput("transition matrix must be square and non-empty")
-        if np.any(P < 0.0) or np.any(P > 1.0):
+        if not np.all((P >= 0.0) & (P <= 1.0)):  # NaN entries fail too
             raise InvalidInput("transition probabilities must lie in [0, 1]")
         row_err = np.abs(P.sum(axis=1) - 1.0).max()
         if row_err > _ROW_TOL:
@@ -85,6 +88,8 @@ class FiniteMarkovChain:
     def from_json(cls, obj: dict | str) -> "FiniteMarkovChain":
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if "P" not in obj:
+            raise InvalidInput("chain JSON has no transition matrix 'P'")
         chain = cls(obj["P"])
         if "alphabet" in obj and int(obj["alphabet"]) != chain.alphabet_size:
             raise InvalidInput("alphabet field disagrees with matrix size")

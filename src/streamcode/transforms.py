@@ -142,14 +142,7 @@ class DropPlan:
         """Values of the dropped layer for ``count`` steps after the anchor
         time, given its value at the anchor: successive powers of the
         self-map applied to ``initial`` (shape (n, width))."""
-        initial = np.asarray(initial, np.uint8)
-        sq_t = self.square.to_bits().T
-        out = np.empty((count, *initial.shape), np.uint8)
-        cur = initial
-        for t in range(count):
-            cur = gf2.mul(cur, sq_t)
-            out[t] = cur
-        return out
+        return self.offset_streams(initial, count + 1)[0][1:]
 
     def offset_streams(self, anchor: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
         """Dropped-layer values and kept-layer offsets for the whole

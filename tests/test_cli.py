@@ -291,3 +291,43 @@ def test_sweep_jobs_do_not_change_output(capsys):
     assert code == 0
     _, parallel, _ = run_cli(argv + ["--jobs", "2"], capsys)
     assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["simulate-det", "--seed", "-1"], "seed"),
+        (["simulate-det", "--spec-seed", "-1"], "spec_seed"),
+        (["transform", "--random-seed", "-1"], "random_seed"),
+        (["oracle", "--flip", "0.25", "--seed", "-3"], "seed"),
+        (["sweep", "--flip", "0.25", "--seed", "-3"], "seed"),
+        (["simulate-gaussian", "--seed", "-2"], "seed"),
+    ],
+    ids=["det-seed", "det-spec-seed", "transform", "oracle", "sweep", "gaussian"],
+)
+def test_negative_seed_is_an_input_error(argv, name, tmp_path, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {name}: expected a nonnegative integer")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: int(argv[-1])}))
+    code, out, err = run_cli(argv[:-2] + ["--config", str(cfg)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {name}: expected a nonnegative integer")
+
+
+@pytest.mark.parametrize(
+    "chain, problem",
+    [
+        ({"Q": [[0.5, 0.5], [0.5, 0.5]]}, "'P'"),
+        ([[0.5, 0.5], [0.5]], "numeric 2-D array"),
+        ({"P": [[None, 1.0], [0.5, 0.5]]}, "[0, 1]"),
+    ],
+    ids=["no-P", "ragged", "null-entry"],
+)
+def test_malformed_chain_file_is_an_input_error(chain, problem, tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain))
+    code, out, err = run_cli(["rates", "--chain", str(path)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and problem in err

@@ -213,3 +213,45 @@ def test_source_spec_widths_track_the_codec():
     w = codec.layer_widths(8)
     assert spec.widths == (sum(w), sum(w), sum(w) - w[0])
     spec.validate()
+
+
+def test_carrier_span_above_64_bits_packs_exactly():
+    # 2**(-1/32) asks 1/64 bit per sample: groups of 64 slots with four
+    # levels each, so one group's carrier index spans 2**128 values
+    codec = sr_codec(layer_rates((2 ** (-1 / 32),), 0, 0))
+    assert codec.group == 64 and codec.group_bits == (128,)
+    assert math.prod(int(x) for x in codec.levels) > 1 << 62
+    n = 64 * 64
+    x = np.random.default_rng(12).standard_normal(n)
+    bits = sr_encode(codec, x, time=5, seed=3)
+    # reference: the same quantizer indices, packed with Python integers
+    u = codec._dither(n, 5, 3)
+    w = np.clip(x, -codec.clamp, codec.clamp).reshape(-1, 64) + u
+    f = np.floor(w / codec.step0).astype(np.int64)
+    idx = np.clip(f, -codec.shift, codec.levels - codec.shift - 1) + codec.shift
+    want = ""
+    for row in idx.tolist():
+        v = 0
+        for r, digit in zip(codec.levels.tolist(), row):
+            v = v * r + digit
+        want += format(v, "0128b")
+    assert "".join(map(str, bits.tolist())) == want
+    xh = sr_decode(codec, bits, n=n, time=5, seed=3)
+    assert float(np.mean((xh - x) ** 2)) <= QUANT_GAP * 2 ** (-1 / 32)
+
+
+@pytest.mark.parametrize(
+    "d, B, W",
+    [(ACCEPT_D, 1, 1), ((0.25, 0.5, 0.5, 0.70710678), 2, 1)],
+    ids=["B1W1", "B2W1"],
+)
+def test_binned_and_ideal_serve_the_same_pairs_for_every_burst(d, B, W):
+    T = 8
+    for length in range(1, B + 1):
+        for start in range(T - length + 1):
+            kw = dict(n=8, T=T, burst=(start, length), seed=start)
+            ideal = gaussian_pipeline(d, B, W, mode="ideal", **kw)
+            binned = gaussian_pipeline(d, B, W, mode="binned", **kw)
+            assert binned.skipped == ideal.skipped, (start, length)
+            assert binned.delivered == ideal.delivered, (start, length)
+            assert binned.mse.tobytes() == ideal.mse.tobytes(), (start, length)
