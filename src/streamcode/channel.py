@@ -7,7 +7,6 @@ receivers always know which positions were lost.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,15 +29,6 @@ class ErasurePattern:
 
     def is_erased(self, t: int) -> bool:
         return t in self.erased
-
-    def to_json(self) -> dict:
-        return {"T": self.T, "erased": sorted(self.erased)}
-
-    @classmethod
-    def from_json(cls, obj: dict | str) -> "ErasurePattern":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(T=int(obj["T"]), erased=frozenset(int(t) for t in obj["erased"]))
 
 
 def single_burst(j: int, b: int, T: int) -> ErasurePattern:
@@ -82,6 +72,31 @@ def multi_burst(bursts: Sequence[tuple[int, int]], guard: int, T: int) -> Erasur
         erased.update(range(j, j + b))
         prev_end = j + b
     return ErasurePattern(T=T, erased=frozenset(erased))
+
+
+def recovery_window(pattern: ErasurePattern, B: int, W: int) -> frozenset[int]:
+    """Times a decoder designed for (B, W) may leave unserved: each burst
+    [j, j+b) of the pattern and the W times after it, cut at the horizon.
+
+    Raises:
+        PatternViolation: the pattern breaks the (B, W) contract -- any
+            erasure when B = 0, a burst longer than B, or a burst that
+            begins within W packets of the previous one's end.
+    """
+    runs: list[list[int]] = []  # [start, length] of each maximal burst
+    for t in sorted(pattern.erased):
+        if runs and t == runs[-1][0] + runs[-1][1]:
+            runs[-1][1] += 1
+        else:
+            runs.append([t, 1])
+    if runs and B == 0:
+        raise PatternViolation("erasure on a channel designed for B = 0")
+    if any(b > B for _, b in runs):
+        raise PatternViolation("burst longer than the design bound B")
+    for (j1, b1), (j2, _) in zip(runs, runs[1:]):
+        if j2 - (j1 + b1) <= W:
+            raise PatternViolation("new burst began inside the recovery window")
+    return frozenset(t for j, b in runs for t in range(j, min(j + b + W, pattern.T)))
 
 
 def apply(pattern: ErasurePattern, stream: Sequence) -> list:

@@ -5,13 +5,13 @@ Each subcommand reads parameters from flags or from a ``--config`` JSON
 file (flags win; a JSON null counts as absent), writes CSV or JSON to
 ``--out`` (default stdout), and exits 0 on success, 2 when a structural
 invariant breaks mid-run, and 3 on invalid input -- including
-command-line usage errors.  A config value takes the same forms as its
-flag: a JSON list or a comma-separated string for a list parameter,
-``true`` or ``false`` for ``periodic``, ``[start, length]`` or
-``"start:length"`` for ``burst``; a bad value from either source exits 3
-with the parameter's name.  Identical configs and seeds produce
-byte-identical output; ``--jobs`` only changes how trials are scheduled,
-never what is written.
+command-line usage errors and malformed config, chain or spec files.  A
+config value takes the same forms as its flag: a JSON list or a
+comma-separated string for a list parameter, ``true`` or ``false`` for
+``periodic``, ``[start, length]`` or ``"start:length"`` for ``burst``; a
+bad value from either source exits 3 with the parameter's name.
+Identical configs and seeds produce byte-identical output; ``--jobs``
+only changes how trials are scheduled, never what is written.
 """
 
 from __future__ import annotations
@@ -269,15 +269,14 @@ def _det_trial(payload: tuple) -> tuple[int, int]:
     B, W, T = p.B, p.W, p.T
     trace = gen_diagonal(spec, p.n, T, seed=trial_seed)
     bincode = design_bincode(spec, B, W, p.n, delta=p.delta, seed=trial_seed)
-    stream = encode(trace, spec, B, W, bincode)
-    if blen:
-        stream = stream.with_erasures(channel.single_burst(start, blen, T))
+    pattern = channel.single_burst(start, blen, T)
+    stream = encode(trace, spec, B, W, bincode).with_erasures(pattern)
     tail = [trace.tail[j][-1] for j in range(len(spec.widths))]
     try:
         outs = decode_stream(stream, bincode, tail)
     except DecodeFailure:
         return 1, 0
-    window = set(range(start, min(start + blen + W, T))) if blen else set()
+    window = channel.recovery_window(pattern, B, W)
     bad = 0
     for t in range(T):
         if t in window:

@@ -1,6 +1,9 @@
-"""Shared exception types for the streamcode package."""
+"""Shared exception types for the streamcode package, and the JSON field
+reader that turns a malformed input file into an InvalidInput."""
 
 from __future__ import annotations
+
+from typing import Any, Callable
 
 
 class StreamcodeError(Exception):
@@ -25,3 +28,22 @@ class DecodeFailure(StreamcodeError):
 
 class ImpossibleBin(StreamcodeError):
     """No candidate sequence is consistent with a received bin index."""
+
+
+def json_field(obj: Any, key: str, convert: Callable = lambda v: v) -> Any:
+    """``convert(obj[key])`` for a parsed JSON object.
+
+    Raises:
+        InvalidInput: naming ``key`` when ``obj`` is no JSON object, lacks
+            the key, or holds a value that ``convert`` rejects with a
+            TypeError or ValueError (an InvalidInput from a nested reader
+            included, so the message spells the path to the bad field).
+    """
+    if not isinstance(obj, dict):
+        raise InvalidInput(f"expected a JSON object with {key!r}, got {type(obj).__name__}")
+    if key not in obj:
+        raise InvalidInput(f"JSON object has no {key!r}")
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{key!r}: {exc}") from exc

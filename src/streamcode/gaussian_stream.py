@@ -24,6 +24,7 @@ giving mean squared error step^2/12 independent of the input.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import channel
-from .errors import InvalidInput, InvariantViolation, PatternViolation
+from .errors import InvalidInput, InvariantViolation
 from .prospicient import decode_stream, design_bincode, encode
 from .rates import _check_distortions, diagonal_rate, gaussian_rate
 from .sources import DiagonalSourceSpec, StreamTrace
@@ -416,7 +417,6 @@ def layer_rearrange(
         widths=spec.widths,
         sub=sub,
         tail=[t.copy() for t in tail],
-        meta={"group": codec.group},
     )
     return spec, trace
 
@@ -445,27 +445,6 @@ def expected_delivery(t: int, B: int, W: int) -> tuple[tuple[int, int], ...]:
     full = tuple((t - ell, 0) for ell in range(W + 1))
     deep = tuple((t - W - k, k) for k in range(1, B + 1))
     return full + deep
-
-
-def _burst_runs(erased: frozenset[int], T: int) -> list[tuple[int, int]]:
-    runs: list[list[int]] = []
-    for t in sorted(x for x in erased if 0 <= x < T):
-        if runs and t == runs[-1][0] + runs[-1][1]:
-            runs[-1][1] += 1
-        else:
-            runs.append([t, 1])
-    return [(j, b) for j, b in runs]
-
-
-def _check_pattern(runs: list[tuple[int, int]], B: int, W: int) -> None:
-    if runs and B == 0:
-        raise PatternViolation("erasure on a channel designed for B = 0")
-    for j, b in runs:
-        if b > B:
-            raise PatternViolation("burst longer than the design bound B")
-    for (j1, b1), (j2, _) in zip(runs, runs[1:]):
-        if j2 - (j1 + b1) <= W:
-            raise PatternViolation("new burst began inside the recovery window")
 
 
 @dataclass
@@ -510,7 +489,7 @@ def gaussian_pipeline(
     ----------
     d, B, W : targets and channel design bounds.
     n, T : samples per time block and number of streamed blocks.
-    burst : None, a (start, length) pair, or an ErasurePattern.
+    burst : None, a (start, length) pair, or an ErasurePattern over T times.
     mode : "ideal" delivers digit blocks verbatim and only tracks which
         packets carried them; "binned" hashes the rearranged bit source
         into packets and runs the streaming decoder on what survives.
@@ -530,18 +509,15 @@ def gaussian_pipeline(
     K = B + W
     lead = 2 * K
     if burst is None:
-        pattern = None
+        pattern = channel.single_burst(0, 0, T)
     elif isinstance(burst, channel.ErasurePattern):
         pattern = burst
     else:
         start, length = burst
         pattern = channel.single_burst(int(start), int(length), T)
-    erased = pattern.erased if pattern is not None else frozenset()
-    runs = _burst_runs(erased, T)
-    _check_pattern(runs, B, W)
-    window: set[int] = set()
-    for j, b in runs:
-        window.update(range(j, min(j + b + W, T)))
+    if pattern.T != T:
+        raise InvalidInput("erasure pattern horizon must equal T")
+    window = channel.recovery_window(pattern, B, W)
 
     rng = np.random.default_rng([seed, 0])
     samples = rng.standard_normal((T + lead, n))
@@ -556,7 +532,7 @@ def gaussian_pipeline(
         # [src, src + layer] arrived; negative times are revealed history
         served = [
             all(
-                src < 0 or any(i not in erased for i in range(src, src + layer + 1))
+                src < 0 or any(i not in pattern.erased for i in range(src, src + layer + 1))
                 for src, layer in expected_delivery(t, B, W)
             )
             for t in range(T)
@@ -564,10 +540,9 @@ def gaussian_pipeline(
     else:
         spec, trace = layer_rearrange(codec, blocks)
         bincode = design_bincode(spec, B, W, n=1, delta=delta, seed=seed)
-        stream = encode(trace, spec, B, W, bincode)
-        if pattern is not None:
-            stream = stream.with_erasures(pattern)
-        tail_symbol = [trace.tail[j][-1] for j in range(len(trace.widths))]
+        stream = encode(trace, spec, B, W, bincode).with_erasures(pattern)
+        # time -1 is revealed history; a K = 0 source has none and needs none
+        tail_symbol = [layer[-1] for layer in trace.tail] if trace.tail_depth else []
         outs = decode_stream(stream, bincode, tail_symbol)
         served = [out is not None for out in outs]
         for t, out in enumerate(outs):
@@ -580,16 +555,21 @@ def gaussian_pipeline(
         if not served[t] and t not in window:
             raise InvariantViolation(f"time {t} undelivered outside any recovery window")
 
+    # a block serves every output time that holds it, so decode it once
+    @functools.cache
+    def block_mse(src: int, layer: int) -> float:
+        bits = blocks[lead + src, offs[layer] :]
+        xh = sr_decode(codec, bits, n=n, from_layer=layer, time=src, seed=seed)
+        return float(np.mean((xh - samples[lead + src]) ** 2))
+
     mse = np.full((T, K + 1), np.nan)
     delivered: dict[int, tuple[tuple[int, int], ...]] = {}
     for t in range(T):
         if not served[t]:
             continue
         delivered[t] = expected_delivery(t, B, W)
-        for lag, (src, layer) in enumerate(delivered[t]):
-            bits = blocks[lead + src, offs[layer] :]
-            xh = sr_decode(codec, bits, n=n, from_layer=layer, time=src, seed=seed)
-            mse[t, lag] = float(np.mean((xh - samples[lead + src]) ** 2))
+        for lag, block in enumerate(delivered[t]):
+            mse[t, lag] = block_mse(*block)
 
     lag_mse = tuple(
         float(np.mean(col[np.isfinite(col)])) if np.isfinite(col).any() else float("nan")

@@ -15,10 +15,11 @@ significant bit first.  Everything rests on two routines:
 
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 import numpy as np
+
+from .errors import InvalidInput, json_field
 
 __all__ = [
     "BitMatrix",
@@ -196,25 +197,17 @@ class BitMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BitMatrix":
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        data = obj["data"]
-        if len(data) != rows or any(len(s) != cols for s in data):
-            raise ValueError("malformed matrix payload")
-        bits = np.zeros((rows, cols), np.uint8)
-        for i, s in enumerate(data):
-            for j, ch in enumerate(s):
-                if ch == "1":
-                    bits[i, j] = 1
-                elif ch != "0":
-                    raise ValueError("malformed matrix payload")
-        return cls.from_bits(bits)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "BitMatrix":
-        return cls.from_json(json.loads(text))
+        """Inverse of :meth:`to_json`; a malformed object raises InvalidInput."""
+        rows, cols = json_field(obj, "rows", int), json_field(obj, "cols", int)
+        data = json_field(obj, "data")
+        if not (
+            isinstance(data, list)
+            and len(data) == rows
+            and all(isinstance(s, str) and len(s) == cols and not s.strip("01") for s in data)
+        ):
+            raise InvalidInput("'data': malformed matrix payload")
+        bits = np.array([[ch == "1" for ch in s] for s in data], np.uint8)
+        return cls.from_bits(bits.reshape(rows, cols))
 
 
 def vstack(mats: Sequence[BitMatrix]) -> BitMatrix:
@@ -262,23 +255,6 @@ class BitVector:
 
     def __repr__(self) -> str:
         return f"BitVector(n={self.n})"
-
-    def to_hex(self) -> str:
-        """Hex encoding of the packed little-endian byte payload."""
-        nbytes = (self.n + 7) >> 3
-        return self.words.tobytes()[:nbytes].hex()
-
-    @classmethod
-    def from_hex(cls, text: str, n: int) -> "BitVector":
-        raw = bytes.fromhex(text)
-        if len(raw) != (n + 7) >> 3:
-            raise ValueError("payload length mismatch")
-        buf = np.zeros(_n_words(n) * 8, np.uint8)
-        buf[: len(raw)] = np.frombuffer(raw, np.uint8)
-        vec = cls(n, buf.view(np.uint64))
-        if int(np.bitwise_count(vec.words).sum()) != int(vec.to_bits().sum()):
-            raise ValueError("stray bits beyond payload length")
-        return vec
 
 
 # ---------------------------------------------------------------------------

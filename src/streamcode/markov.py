@@ -7,12 +7,11 @@ distribution is derived from the transition matrix, never user-supplied.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 import numpy as np
 
-from .errors import InvalidInput, InvariantViolation
+from .errors import InvalidInput, InvariantViolation, json_field
 
 _ROW_TOL = 1e-12
 _PI_RESIDUAL = 1e-13
@@ -81,17 +80,12 @@ class FiniteMarkovChain:
             pi = nxt
         raise InvariantViolation("stationary distribution did not converge")
 
-    def to_json(self) -> dict:
-        return {"P": self.P.tolist(), "alphabet": self.alphabet_size}
-
     @classmethod
-    def from_json(cls, obj: dict | str) -> "FiniteMarkovChain":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        if "P" not in obj:
-            raise InvalidInput("chain JSON has no transition matrix 'P'")
-        chain = cls(obj["P"])
-        if "alphabet" in obj and int(obj["alphabet"]) != chain.alphabet_size:
+    def from_json(cls, obj: dict) -> "FiniteMarkovChain":
+        """The chain of a parsed ``{"P": matrix}`` object; an optional
+        ``alphabet`` must match the matrix size."""
+        chain = cls(json_field(obj, "P"))
+        if "alphabet" in obj and json_field(obj, "alphabet", int) != chain.alphabet_size:
             raise InvalidInput("alphabet field disagrees with matrix size")
         return chain
 

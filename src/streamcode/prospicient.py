@@ -22,7 +22,6 @@ code's prefactored solvers, keyed by (t, erased count).
 
 from __future__ import annotations
 
-import json
 import math
 import weakref
 from dataclasses import dataclass, field, replace
@@ -314,23 +313,6 @@ class BinCode:
             self._codecs[key] = got
         return got
 
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n": self.n,
-            "r0_bits": self.r0_bits,
-            "packet_bits": self.packet_bits,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BinCode":
-        return cls(
-            seed=int(obj["seed"]),
-            n=int(obj["n"]),
-            r0_bits=int(obj["r0_bits"]),
-            packet_bits=int(obj["packet_bits"]),
-        )
-
 
 def design_bincode(
     spec: DiagonalSourceSpec,
@@ -529,45 +511,3 @@ def reconstruct_symbol(
     if len(deep_parts) > B:
         raise InvalidInput("more deep parts than burst slots")
     return codec.assemble(innovations, deep_parts, anchor)
-
-
-
-def dump_packets(stream: PacketStream, fp) -> None:
-    """Write a PacketStream as JSON lines: one header, then one record
-    per time with the payload hex-packed (None payload when erased)."""
-    header = {
-        "spec": stream.spec.to_json(),
-        "B": stream.B,
-        "W": stream.W,
-        "n": stream.n,
-        "rate_bits": stream.packet_bits,
-        "seed": stream.seed,
-        "T": stream.T,
-    }
-    fp.write(json.dumps(header) + "\n")
-    for t, pkt in enumerate(stream.packets):
-        rec = {"t": t, "erased": pkt is None}
-        rec["payload"] = None if pkt is None else np.packbits(pkt).tobytes().hex()
-        fp.write(json.dumps(rec) + "\n")
-
-
-def load_packets(fp) -> PacketStream:
-    """Inverse of dump_packets."""
-    header = json.loads(fp.readline())
-    packets: list = []
-    for _ in range(int(header["T"])):
-        rec = json.loads(fp.readline())
-        if rec["erased"]:
-            packets.append(None)
-        else:
-            raw = np.frombuffer(bytes.fromhex(rec["payload"]), np.uint8)
-            packets.append(np.unpackbits(raw, count=int(header["rate_bits"])))
-    return PacketStream(
-        spec=DiagonalSourceSpec.from_json(header["spec"]),
-        B=int(header["B"]),
-        W=int(header["W"]),
-        n=int(header["n"]),
-        packet_bits=int(header["rate_bits"]),
-        seed=int(header["seed"]),
-        packets=packets,
-    )

@@ -10,15 +10,13 @@ as known.
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import gf2
-from .errors import InvalidInput, InvariantViolation
+from .errors import InvalidInput, InvariantViolation, json_field
 
 
 @dataclass(frozen=True)
@@ -68,12 +66,11 @@ class DiagonalSourceSpec:
         }
 
     @classmethod
-    def from_json(cls, obj: dict | str) -> "DiagonalSourceSpec":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+    def from_json(cls, obj: dict) -> "DiagonalSourceSpec":
+        """Inverse of :meth:`to_json`; a malformed object raises InvalidInput."""
         return cls(
-            widths=tuple(obj["widths"]),
-            R=tuple(gf2.BitMatrix.from_json(m) for m in obj["R"]),
+            widths=json_field(obj, "widths", lambda v: tuple(int(w) for w in v)),
+            R=json_field(obj, "R", lambda v: tuple(gf2.BitMatrix.from_json(m) for m in v)),
         )
 
 
@@ -105,14 +102,13 @@ class SemiDetSpec:
         }
 
     @classmethod
-    def from_json(cls, obj: dict | str) -> "SemiDetSpec":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+    def from_json(cls, obj: dict) -> "SemiDetSpec":
+        """Inverse of :meth:`to_json`; a malformed object raises InvalidInput."""
         return cls(
-            N0=int(obj["N0"]),
-            Nd=int(obj["Nd"]),
-            A=gf2.BitMatrix.from_json(obj["A"]),
-            B=gf2.BitMatrix.from_json(obj["B"]),
+            N0=json_field(obj, "N0", int),
+            Nd=json_field(obj, "Nd", int),
+            A=json_field(obj, "A", gf2.BitMatrix.from_json),
+            B=json_field(obj, "B", gf2.BitMatrix.from_json),
         )
 
 
@@ -127,7 +123,7 @@ class StreamTrace:
     widths: tuple[int, ...]
     sub: list[np.ndarray]
     tail: list[np.ndarray]
-    meta: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict)  # apply_map keeps a drop anchor here
 
     @property
     def tail_depth(self) -> int:
@@ -175,7 +171,6 @@ def gen_diagonal(
         widths=spec.widths,
         sub=sub,
         tail=tail,
-        meta={"seed": seed, "spec": spec.to_json()},
     )
 
 
@@ -202,7 +197,6 @@ def gen_semidet(
         widths=(spec.N0, spec.Nd),
         sub=[s0[tail_depth:], sd[tail_depth:]],
         tail=[s0[:tail_depth], sd[:tail_depth]],
-        meta={"seed": seed, "spec": spec.to_json()},
     )
 
 
@@ -229,7 +223,6 @@ def gen_binary_markov(eps: float, n: int, T: int, seed: int, tail_depth: int = 1
         widths=(1,),
         sub=[bits[tail_depth:]],
         tail=[bits[:tail_depth]],
-        meta={"seed": seed, "eps": eps},
     )
 
 
@@ -245,7 +238,6 @@ def gen_gaussian_iid(n: int, T: int, seed: int) -> StreamTrace:
         widths=(1,),
         sub=[rng.standard_normal((T, n))],
         tail=[np.zeros((0, n))],
-        meta={"seed": seed},
     )
 
 
@@ -325,62 +317,4 @@ def random_semidet_spec(
         Nd=nd,
         A=gf2.BitMatrix.from_bits(rng.integers(0, 2, (nd, n0), dtype=np.uint8)),
         B=gf2.BitMatrix.from_bits(rng.integers(0, 2, (nd, nd), dtype=np.uint8)),
-    )
-
-
-def dump_trace(trace: StreamTrace, path: str) -> None:
-    """One JSON header line, then the packed payload arrays in order."""
-    header = {
-        "kind": trace.kind,
-        "n": trace.n,
-        "T": trace.T,
-        "widths": list(trace.widths),
-        "tail_depth": trace.tail_depth,
-        "meta": trace.meta,
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for arr in list(trace.sub) + list(trace.tail):
-            if trace.kind == "gaussian":
-                fh.write(arr.astype("<f8").tobytes())
-            else:
-                fh.write(np.packbits(arr.reshape(-1)).tobytes())
-
-
-def load_trace(path: str) -> StreamTrace:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        blob = fh.read()
-    kind = header["kind"]
-    n, T = header["n"], header["T"]
-    widths = tuple(header["widths"])
-    depth = header["tail_depth"]
-    shapes_sub: list[tuple] = []
-    shapes_tail: list[tuple] = []
-    if kind in ("diagonal", "semidet"):
-        shapes_sub = [(T, n, w) for w in widths]
-        shapes_tail = [(depth, n, w) for w in widths]
-    else:
-        shapes_sub = [(T, n)]
-        shapes_tail = [(depth, n)]
-    buf = io.BytesIO(blob)
-    out: list[np.ndarray] = []
-    for shape in shapes_sub + shapes_tail:
-        count = int(np.prod(shape))
-        if kind == "gaussian":
-            arr = np.frombuffer(buf.read(count * 8), dtype="<f8").reshape(shape)
-        else:
-            nbytes = (count + 7) // 8
-            packed = np.frombuffer(buf.read(nbytes), dtype=np.uint8)
-            arr = np.unpackbits(packed, count=count).reshape(shape).astype(np.uint8)
-        out.append(arr)
-    k = len(shapes_sub)
-    return StreamTrace(
-        kind=kind,
-        n=n,
-        T=T,
-        widths=widths,
-        sub=out[:k],
-        tail=out[k:],
-        meta=header["meta"],
     )

@@ -12,7 +12,6 @@ the matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,23 +93,6 @@ class UpperTriSpec:
             if gf2.rank(sub) != self.widths[j]:
                 raise InvariantViolation(f"sub-diagonal block into layer {j} is rank deficient")
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "uppertri",
-            "widths": list(self.widths),
-            "blocks": {f"{j},{k}": m.to_json() for (j, k), m in sorted(self.blocks.items())},
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict | str) -> "UpperTriSpec":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        blocks = {}
-        for key, m in obj["blocks"].items():
-            j, k = (int(x) for x in key.split(","))
-            blocks[(j, k)] = gf2.BitMatrix.from_json(m)
-        return cls(widths=tuple(obj["widths"]), blocks=blocks)
-
 
 @dataclass(frozen=True)
 class DropPlan:
@@ -170,17 +152,6 @@ class DropPlan:
             "initial": None if self.initial is None else [list(r) for r in self.initial],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "DropPlan":
-        init = obj.get("initial")
-        return cls(
-            width=int(obj["width"]),
-            square=gf2.BitMatrix.from_json(obj["square"]),
-            coupling=gf2.BitMatrix.from_json(obj["coupling"]),
-            sub=gf2.BitMatrix.from_json(obj["sub"]),
-            initial=None if init is None else tuple(tuple(int(x) for x in r) for r in init),
-        )
-
 
 @dataclass(frozen=True)
 class LinearMap:
@@ -221,18 +192,6 @@ class LinearMap:
             "out_widths": list(self.out_widths),
             "drop": None if self.drop is None else self.drop.to_json(),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict | str) -> "LinearMap":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        drop = obj.get("drop")
-        return cls(
-            matrix=gf2.BitMatrix.from_json(obj["matrix"]),
-            in_widths=tuple(obj["in_widths"]),
-            out_widths=tuple(obj["out_widths"]),
-            drop=None if drop is None else DropPlan.from_json(drop),
-        )
 
 
 def case1_transform(spec: SemiDetSpec) -> tuple[LinearMap, DiagonalSourceSpec]:

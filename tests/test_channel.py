@@ -50,10 +50,20 @@ def test_apply_uses_absent_marker():
         channel.apply(pat, ["a", "b"])
 
 
-def test_json_roundtrip():
-    pat = channel.multi_burst([(0, 2), (5, 1)], 3, 8)
-    again = channel.ErasurePattern.from_json(pat.to_json())
-    assert again == pat
-    assert pat.to_json() == {"T": 8, "erased": [0, 1, 5]}
+def test_pattern_rejects_erasures_outside_the_horizon():
     with pytest.raises(InvalidInput):
         channel.ErasurePattern(T=4, erased=frozenset({4}))
+
+
+def test_recovery_window_and_its_contract():
+    bursts = channel.multi_burst([(1, 2), (6, 1)], 2, 8)
+    assert channel.recovery_window(bursts, 2, 2) == {1, 2, 3, 4, 6, 7}
+    assert channel.recovery_window(channel.single_burst(0, 0, 5), 0, 0) == frozenset()
+    # the contract is checked in this order: B = 0, burst length, guard
+    for pattern, B, W, message in [
+        (channel.single_burst(1, 2, 5), 0, 0, "B = 0"),
+        (channel.multi_burst([(0, 1), (2, 3)], 0, 8), 2, 1, "longer"),
+        (channel.multi_burst([(0, 1), (2, 1)], 0, 8), 1, 1, "inside the recovery window"),
+    ]:
+        with pytest.raises(PatternViolation, match=message):
+            channel.recovery_window(pattern, B, W)

@@ -331,3 +331,24 @@ def test_malformed_chain_file_is_an_input_error(chain, problem, tmp_path, capsys
     code, out, err = run_cli(["rates", "--chain", str(path)], capsys)
     assert code == 3 and out == ""
     assert err.startswith("error: ") and problem in err
+
+
+_ROW = {"rows": 1, "cols": 2, "data": ["10"]}
+
+
+@pytest.mark.parametrize(
+    "command, spec, problem",
+    [
+        ("simulate-det", {"widths": [3, 2]}, "no 'R'"),
+        ("simulate-det", {"widths": [2, 1], "R": [dict(_ROW, data=["1x"])]}, "malformed matrix"),
+        ("simulate-det", [3, 2], "expected a JSON object with 'widths', got list"),
+        ("transform", {"N0": 2, "Nd": 1, "A": _ROW}, "no 'B'"),
+    ],
+    ids=["det-no-R", "det-bad-row", "det-list", "transform-no-B"],
+)
+def test_malformed_spec_file_is_an_input_error(command, spec, problem, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli([command, "--spec", str(path)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and problem in err

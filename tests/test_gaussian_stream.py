@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from streamcode import gaussian_stream
 from streamcode.errors import InvalidInput, PatternViolation
 from streamcode.gaussian_stream import (
     QUANT_GAP,
@@ -242,16 +243,32 @@ def test_carrier_span_above_64_bits_packs_exactly():
 
 @pytest.mark.parametrize(
     "d, B, W",
-    [(ACCEPT_D, 1, 1), ((0.25, 0.5, 0.5, 0.70710678), 2, 1)],
-    ids=["B1W1", "B2W1"],
+    [(ACCEPT_D, 1, 1), ((0.25, 0.5, 0.5, 0.70710678), 2, 1), ((0.25,), 0, 0)],
+    ids=["B1W1", "B2W1", "B0W0"],
 )
 def test_binned_and_ideal_serve_the_same_pairs_for_every_burst(d, B, W):
     T = 8
-    for length in range(1, B + 1):
-        for start in range(T - length + 1):
-            kw = dict(n=8, T=T, burst=(start, length), seed=start)
-            ideal = gaussian_pipeline(d, B, W, mode="ideal", **kw)
-            binned = gaussian_pipeline(d, B, W, mode="binned", **kw)
-            assert binned.skipped == ideal.skipped, (start, length)
-            assert binned.delivered == ideal.delivered, (start, length)
-            assert binned.mse.tobytes() == ideal.mse.tobytes(), (start, length)
+    cases = [(None, 0)] + [
+        ((start, length), start) for length in range(1, B + 1) for start in range(T - length + 1)
+    ]
+    for burst, seed in cases:
+        kw = dict(n=8, T=T, burst=burst, seed=seed)
+        ideal = gaussian_pipeline(d, B, W, mode="ideal", **kw)
+        binned = gaussian_pipeline(d, B, W, mode="binned", **kw)
+        assert binned.skipped == ideal.skipped, burst
+        assert binned.delivered == ideal.delivered, burst
+        assert binned.mse.tobytes() == ideal.mse.tobytes(), burst
+
+
+def test_pipeline_decodes_each_digit_block_once(monkeypatch):
+    calls = []
+
+    def counting(codec, bits, **kw):
+        calls.append((kw["time"], kw["from_layer"]))
+        return sr_decode(codec, bits, **kw)
+
+    monkeypatch.setattr(gaussian_stream, "sr_decode", counting)
+    rep = gaussian_pipeline(ACCEPT_D, 1, 1, n=8, T=8, burst=(3, 1), mode="ideal")
+    held = {block for blocks in rep.delivered.values() for block in blocks}
+    assert len(held) == 14
+    assert sorted(calls) == sorted(held)

@@ -140,16 +140,13 @@ def test_matmul_mul_vec_transpose_agree_with_dense():
         assert np.array_equal((a ^ a).to_bits(), np.zeros_like(ab))
 
 
-def test_json_and_hex_roundtrips():
+def test_json_roundtrip():
     rng = np.random.default_rng(23)
     for trial in range(40):
         r = int(rng.integers(0, 20))
         c = int(rng.integers(0, 90))
         m = gf2.BitMatrix.from_bits(rng.integers(0, 2, (r, c), dtype=np.uint8))
-        assert gf2.BitMatrix.loads(m.dumps()) == m
         assert gf2.BitMatrix.from_json(m.to_json()) == m
-        v = gf2.BitVector.from_bits(rng.integers(0, 2, int(rng.integers(0, 90)), dtype=np.uint8))
-        assert gf2.BitVector.from_hex(v.to_hex(), v.n) == v
 
 
 def test_rank_scales_to_simulation_sized_systems():

@@ -171,7 +171,7 @@ def test_validation_and_json():
     with pytest.raises(InvalidInput):
         markov.cond_entropy_gap(markov.BinarySymmetricChain(0.3), 0)
     chain = markov.FiniteMarkovChain([[0.9, 0.1], [0.4, 0.6]])
-    again = markov.FiniteMarkovChain.from_json(chain.to_json())
+    again = markov.FiniteMarkovChain.from_json({"P": chain.P.tolist()})
     assert np.array_equal(again.P, chain.P)
     with pytest.raises(InvalidInput):
         markov.FiniteMarkovChain.from_json({"P": [[0.5, 0.5], [0.5, 0.5]], "alphabet": 3})

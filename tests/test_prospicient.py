@@ -1,6 +1,5 @@
 """Lookahead codec: rearrangement, linear binning, and the two-mode decoder."""
 
-import io
 import math
 
 import numpy as np
@@ -104,7 +103,6 @@ def test_bincode_matrices_reproducible_and_time_varying():
     assert ident.identity_mode
     vec = np.random.default_rng(0).integers(0, 2, (4, 3), dtype=np.uint8)
     assert np.array_equal(ident.hash_vec(1, vec), vec.reshape(-1))
-    assert prospicient.BinCode.from_json(code.to_json()) == code
 
 
 def test_design_bincode_sizing_and_feasibility():
@@ -341,33 +339,3 @@ def test_reconstruct_matches_generator_along_steady_chain():
             assert np.array_equal(layers[j], trace.symbol(i, j)), (i, j)
     with pytest.raises(InvalidInput, match="W\\+1"):
         prospicient.reconstruct_symbol(spec, B, W, innovations[:1])
-
-
-# ------------------------------------------------------------ serialization
-
-
-def test_packet_stream_json_roundtrip():
-    spec = unit_chain(2)
-    n, T = 6, 9
-    trace = sources.gen_diagonal(spec, n, T, seed=24)
-    code = prospicient.design_bincode(spec, 1, 1, n, seed=11)
-    stream = prospicient.encode(trace, spec, 1, 1, code)
-    stream = stream.with_erasures(channel.single_burst(2, 1, T))
-    buf = io.StringIO()
-    prospicient.dump_packets(stream, buf)
-    buf.seek(0)
-    back = prospicient.load_packets(buf)
-    assert back.spec.widths == spec.widths
-    assert (back.B, back.W, back.n, back.packet_bits, back.seed) == (
-        stream.B,
-        stream.W,
-        stream.n,
-        stream.packet_bits,
-        stream.seed,
-    )
-    assert back.T == T
-    for t in range(T):
-        if stream.packets[t] is None:
-            assert back.packets[t] is None
-        else:
-            assert np.array_equal(back.packets[t], stream.packets[t])

@@ -149,33 +149,6 @@ def test_spec_validation():
         sources.SemiDetSpec(N0=2, Nd=1, A=gf2.BitMatrix.zeros(2, 2), B=gf2.BitMatrix.zeros(1, 1))
 
 
-def test_trace_dump_load_roundtrip(tmp_path):
-    rng = np.random.default_rng(8)
-    spec = sources.random_diagonal_spec(rng, 2)
-    tr = sources.gen_diagonal(spec, n=3, T=7, seed=11)
-    path = str(tmp_path / "diag.trace")
-    sources.dump_trace(tr, path)
-    back = sources.load_trace(path)
-    assert back.kind == tr.kind and back.n == tr.n and back.T == tr.T
-    for j in range(spec.K + 1):
-        assert np.array_equal(back.sub[j], tr.sub[j])
-        assert np.array_equal(back.tail[j], tr.tail[j])
-    assert back.meta == tr.meta
-
-    g = sources.gen_gaussian_iid(n=4, T=9, seed=12)
-    gpath = str(tmp_path / "gauss.trace")
-    sources.dump_trace(g, gpath)
-    gback = sources.load_trace(gpath)
-    assert np.array_equal(gback.sub[0], g.sub[0])
-
-    sd = sources.gen_semidet(sources.random_semidet_spec(rng), n=2, T=5, seed=13)
-    spath = str(tmp_path / "semi.trace")
-    sources.dump_trace(sd, spath)
-    sback = sources.load_trace(spath)
-    assert np.array_equal(sback.sub[1], sd.sub[1])
-    assert np.array_equal(sback.tail[0], sd.tail[0])
-
-
 def test_symbol_bounds():
     tr = sources.gen_binary_markov(0.5, n=2, T=4, seed=0)
     with pytest.raises(InvalidInput):
