@@ -206,9 +206,12 @@ def _load_chain(p: argparse.Namespace) -> FiniteMarkovChain:
 
 def _map_jobs(fn, payloads: list, jobs: int) -> list:
     """Run payloads in order, optionally in worker processes; results come
-    back in submission order so output is independent of scheduling."""
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    back in submission order so output is independent of scheduling.  The
+    pool forks all its workers at the first submit, so it gets no more
+    workers than there are payloads."""
+    workers = min(jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, payloads))
     return [fn(p) for p in payloads]
 
@@ -296,6 +299,12 @@ def cmd_simulate_det(p: argparse.Namespace) -> None:
     if p.spec:
         with open(p.spec) as fh:
             spec = DiagonalSourceSpec.from_json(json.load(fh))
+        # the rate formulas and the codec assume full-row-rank maps; a file
+        # that breaks this is bad input, not a broken run
+        try:
+            spec.validate()
+        except InvariantViolation as exc:
+            raise InvalidInput(str(exc)) from None
     else:
         spec = _full_rank_spec(np.random.default_rng([p.spec_seed, len(p.widths)]), p.widths)
     trials = p.trials

@@ -5,12 +5,11 @@ significant bit first.  Everything rests on two routines:
 
 * :func:`mul`, the one dense product of 0/1 arrays; ``BitMatrix @`` and
   every layer-map product of the codec go through it.
-* ``_reduce``, which runs the packed forward elimination (pivot columns in
-  64-wide stripes with byte-table batched row updates, after M4RI) and then
-  clears the entries above each pivot.  :func:`rref`, :func:`solve`,
-  :func:`solve_unique`, :func:`invert`, :func:`independent_rows` and
-  :class:`PrefactoredSolver` are thin front-ends over it; :func:`rank` needs
-  the forward pass only.
+* ``_reduce``, one in-place Gauss-Jordan pass over the packed rows: each
+  pivot is XORed into every other row holding its column, above and below
+  alike.  :func:`rank`, :func:`rref`, :func:`solve`, :func:`solve_unique`,
+  :func:`invert`, :func:`independent_rows` and :class:`PrefactoredSolver`
+  are thin front-ends over it.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
 ]
 
 _ONE = np.uint64(1)
-_BYTE = np.uint64(0xFF)
 # multiply-adds at which a float32 BLAS product overtakes the uint8 loop
 _BLAS_MIN_OPS = 1 << 12
 # float32 holds every integer below this, so shorter dot products are exact
@@ -262,117 +260,39 @@ class BitVector:
 # ---------------------------------------------------------------------------
 
 
-def _forward_eliminate(words: np.ndarray, n_cols: int, max_cols: int | None = None):
-    """In-place forward elimination to row-echelon form.
+def _reduce(words: np.ndarray, n_cols: int, max_cols: int | None = None):
+    """In-place Gauss-Jordan reduction, pivots taken in the first ``max_cols``
+    columns.
 
-    Pivot columns are scanned left to right in 64-column stripes.  Row
-    updates for each stripe are batched: the combination every row needs
-    (over the stripe's finished pivot rows) is tracked as a 64-bit mask and
-    applied to the trailing words with 256-entry XOR tables.
-
-    On return the first ``rank`` rows of ``words`` hold the echelon rows in
-    pivot order.  Returns (rank, pivot_columns).
+    Each column's bit is scanned once over all rows; the first still-free
+    row holding it becomes the pivot and is XORed into every other row that
+    holds it.  A free row is zero left of its pivot column, so the XOR starts
+    at the pivot's word.  On return the first ``rank`` rows hold the pivot
+    rows in pivot order.  Returns (rank, pivot_columns).
     """
-    m, nw = words.shape
+    m = words.shape[0]
     if max_cols is None:
         max_cols = n_cols
-    rank = 0
+    free = np.ones(m, bool)
+    pivot_rows: list[int] = []
     pivot_cols: list[int] = []
-    n_stripes = (max_cols + 63) >> 6
-    for s in range(n_stripes):
-        if rank >= m:
+    for c in range(max_cols):
+        if len(pivot_rows) == m:
             break
-        hi = min(64, max_cols - (s << 6))
-        act = words[rank:]
-        nact = act.shape[0]
-        col = act[:, s].copy()
-        dep = np.zeros(nact, np.uint64)
-        taken = np.zeros(nact, bool)
-        prows: list[int] = []
-        piv_words: list[int] = []
-        dep_masks: list[int] = []
-        stripe_piv_cols: list[int] = []
-        # taken rows have their stripe word zeroed in `col` (stashed in
-        # piv_words) so they drop out of the scans without an extra mask
-        for b in range(hi):
-            nz = np.nonzero((col >> np.uint64(b)) & _ONE)[0]
-            if nz.size == 0:
-                continue
-            sel = int(nz[0])
-            dsel = int(dep[sel])
-            dep_masks.append(dsel)
-            idx = nz[1:]
-            if idx.size:
-                col[idx] ^= col[sel]
-                dep[idx] ^= np.uint64(dsel ^ (1 << len(prows)))
-            piv_words.append(int(col[sel]))
-            col[sel] = 0
-            taken[sel] = True
-            prows.append(sel)
-            stripe_piv_cols.append((s << 6) + b)
-        npiv = len(prows)
-        if npiv == 0:
+        wi = c >> 6
+        hits = np.nonzero((words[:, wi] >> np.uint64(c & 63)) & _ONE)[0]
+        candidates = hits[free[hits]]
+        if candidates.size == 0:
             continue
-        wtrail = nw - (s + 1)
-        if wtrail > 0:
-            raw = act[prows, s + 1 :]
-            # tables over the raw pivot rows, 8 pivots per table
-            nbytes = (npiv + 7) >> 3
-            tables = []
-            for t in range(nbytes):
-                cnt = min(8, npiv - (t << 3))
-                tab = np.zeros((1 << cnt, wtrail), np.uint64)
-                size = 1
-                for r_ in raw[t << 3 : (t << 3) + cnt]:
-                    tab[size : 2 * size] = tab[:size] ^ r_
-                    size <<= 1
-                tables.append(tab)
-            # frozen content of the pivot rows themselves (each mask is a
-            # combination over the raw rows, plus the row's own raw content)
-            piv_masks = np.array(
-                [dep_masks[k] ^ (1 << k) for k in range(npiv)], np.uint64
-            )
-            frozen = tables[0][(piv_masks & _BYTE).astype(np.int64)]
-            for t in range(1, nbytes):
-                frozen ^= tables[t][((piv_masks >> np.uint64(t << 3)) & _BYTE).astype(np.int64)]
-            act[prows, s + 1 :] = frozen
-            # batched update of every remaining row that needs one
-            upd_idx = np.nonzero((~taken) & (dep != 0))[0]
-            if upd_idx.size:
-                d = dep[upd_idx]
-                upd = tables[0][(d & _BYTE).astype(np.int64)]
-                for t in range(1, nbytes):
-                    upd ^= tables[t][((d >> np.uint64(t << 3)) & _BYTE).astype(np.int64)]
-                act[upd_idx, s + 1 :] ^= upd
-        col[prows] = np.array(piv_words, np.uint64)
-        act[:, s] = col
-        # move the stripe's pivot rows into the next `npiv` settled slots,
-        # keeping them in pivot-column order; displaced rows take the slots
-        # the pivots vacate
-        psrc = np.array(prows)
-        if not np.array_equal(psrc, np.arange(npiv)):
-            displaced = np.nonzero(~taken[:npiv])[0]
-            vacated = psrc[psrc >= npiv]
-            moved = act[psrc].copy()
-            disp = act[displaced].copy()
-            act[vacated] = disp
-            act[:npiv] = moved
-        pivot_cols.extend(stripe_piv_cols)
-        rank += npiv
-    return rank, pivot_cols
-
-
-def _reduce(words: np.ndarray, n_cols: int, max_cols: int | None = None):
-    """In-place reduced row-echelon form, pivots taken in the first
-    ``max_cols`` columns: forward elimination, then the entries above each
-    pivot are cleared.  Returns (rank, pivot_columns)."""
-    r, pivots = _forward_eliminate(words, n_cols, max_cols)
-    for k, c in enumerate(pivots):
-        wi, bi = c >> 6, np.uint64(c & 63)
-        idx = np.nonzero((words[:k, wi] >> bi) & _ONE)[0]
-        if idx.size:
-            words[idx] ^= words[k]
-    return r, pivots
+        p = int(candidates[0])
+        others = hits[hits != p]
+        if others.size:
+            words[others, wi:] ^= words[p, wi:]
+        free[p] = False
+        pivot_rows.append(p)
+        pivot_cols.append(c)
+    words[:] = words[pivot_rows + np.nonzero(free)[0].tolist()]
+    return len(pivot_rows), pivot_cols
 
 
 def _reduce_augmented(a: BitMatrix, rhs: np.ndarray):
@@ -391,8 +311,8 @@ def _reduce_augmented(a: BitMatrix, rhs: np.ndarray):
 
 
 def rank(m: BitMatrix) -> int:
-    """Matrix rank over GF(2)."""
-    r, _ = _forward_eliminate(m.words.copy(), m.cols)
+    """Matrix rank over GF(2): the pivot count of one Gauss-Jordan pass."""
+    r, _ = _reduce(m.words.copy(), m.cols)
     return r
 
 
@@ -461,7 +381,7 @@ def invert(m: BitMatrix) -> BitMatrix:
 class PrefactoredSolver:
     """Reusable unique-solution solver for a fixed coefficient matrix.
 
-    Reducing ``[A | I]`` once (the same eliminate-and-reduce core as
+    Reducing ``[A | I]`` once (the same Gauss-Jordan pass as
     :func:`solve`) records the row operations: the rows of I beside A's
     pivot rows form the solve map S (x = S b when A has full column rank),
     the rows below the rank form the residual map C (C b == 0 exactly when

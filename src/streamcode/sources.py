@@ -294,7 +294,19 @@ def random_diagonal_spec(
 
 
 def _full_rank_spec(rng: np.random.Generator, widths: Sequence[int]) -> DiagonalSourceSpec:
-    """Spec with the given widths and rejection-sampled full-row-rank maps."""
+    """Spec with the given widths and rejection-sampled full-row-rank maps.
+
+    A full-row-rank map into layer j exists only when layer j is no wider
+    than layer j-1, so other widths raise InvalidInput naming the layer
+    instead of sampling forever.
+    """
+    for j, w in enumerate(widths):
+        if w < 0:
+            raise InvalidInput(f"layer {j} has negative width {w}")
+        if j and w > widths[j - 1]:
+            raise InvalidInput(
+                f"layer {j} is wider than layer {j - 1}: no full-row-rank map into it"
+            )
     maps = []
     for j in range(1, len(widths)):
         while True:

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from streamcode import gf2, sw_binning
+from streamcode import cli, gf2, sw_binning
 from streamcode.cli import main
 from streamcode.gaussian_stream import QUANT_GAP
 from streamcode.sources import SemiDetSpec
@@ -104,6 +104,46 @@ def test_simulate_det_jobs_do_not_change_output(capsys):
     _, serial, _ = run_cli(argv + ["--jobs", "1"], capsys)
     _, parallel, _ = run_cli(argv + ["--jobs", "2"], capsys)
     assert serial == parallel
+
+
+def test_jobs_fork_no_more_workers_than_payloads(capsys, monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, forks nothing."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # B=1, T=2 and one trial make two payloads: bursts at t=0 and t=1
+    argv = ["simulate-det", "--widths", "2,1", "--B", "1", "--W", "0",
+            "--n", "8", "--T", "2", "--trials", "1"]
+    _, serial, _ = run_cli(argv + ["--jobs", "1"], capsys)
+    assert pools == []
+    _, pooled, _ = run_cli(argv + ["--jobs", "4"], capsys)
+    assert pools == [2]
+    assert pooled == serial and len(parse_csv(serial)) == 2
+
+
+@pytest.mark.parametrize(
+    "widths, problem",
+    [("3,4", "layer 1 is wider than layer 0"), ("3,-1", "layer 1 has negative width")],
+    ids=["wider", "negative"],
+)
+def test_impossible_widths_are_an_input_error(widths, problem, capsys):
+    code, out, err = run_cli(["simulate-det", "--widths", widths], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and problem in err
 
 
 def test_simulate_gaussian_skips_the_window(capsys):
@@ -343,8 +383,13 @@ _ROW = {"rows": 1, "cols": 2, "data": ["10"]}
         ("simulate-det", {"widths": [2, 1], "R": [dict(_ROW, data=["1x"])]}, "malformed matrix"),
         ("simulate-det", [3, 2], "expected a JSON object with 'widths', got list"),
         ("transform", {"N0": 2, "Nd": 1, "A": _ROW}, "no 'B'"),
+        ("simulate-det", {"widths": [2, 2], "R": [{"rows": 2, "cols": 2, "data": ["11", "11"]}]},
+         "map into layer 1 is not full row rank"),
+        ("simulate-det", {"widths": [1, 2], "R": [{"rows": 2, "cols": 1, "data": ["1", "1"]}]},
+         "map into layer 1 is not full row rank"),
     ],
-    ids=["det-no-R", "det-bad-row", "det-list", "transform-no-B"],
+    ids=["det-no-R", "det-bad-row", "det-list", "transform-no-B", "det-rank-deficient",
+         "det-wider-layer"],
 )
 def test_malformed_spec_file_is_an_input_error(command, spec, problem, tmp_path, capsys):
     path = tmp_path / "spec.json"

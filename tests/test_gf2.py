@@ -29,13 +29,29 @@ def dense_gauss(bits: np.ndarray) -> tuple[int, np.ndarray]:
     return r, a
 
 
+def low_rank_bits(rng, rows: int, cols: int, rank: int) -> np.ndarray:
+    """A random rows x cols 0/1 matrix of rank at most ``rank``."""
+    left = rng.integers(0, 2, (rows, rank), dtype=np.uint8)
+    return gf2.mul(left, rng.integers(0, 2, (rank, cols), dtype=np.uint8))
+
+
 def test_rank_and_rref_match_dense_reference():
     rng = np.random.default_rng(42)
-    for trial in range(200):
-        rows = int(rng.integers(0, 40))
-        cols = int(rng.integers(0, 200))
-        density = rng.uniform(0.05, 0.9)
-        bits = (rng.random((rows, cols)) < density).astype(np.uint8)
+    for trial in range(230):
+        if trial < 200:
+            rows = int(rng.integers(0, 40))
+            cols = int(rng.integers(0, 200))
+            density = rng.uniform(0.05, 0.9)
+            bits = (rng.random((rows, cols)) < density).astype(np.uint8)
+        else:
+            # taller matrices over several column words, every other one
+            # rank deficient so free rows are left below the pivots
+            rows = int(rng.integers(64, 151))
+            cols = int(rng.integers(65, 260))
+            if trial % 2:
+                bits = low_rank_bits(rng, rows, cols, int(rng.integers(1, 64)))
+            else:
+                bits = (rng.random((rows, cols)) < rng.uniform(0.05, 0.9)).astype(np.uint8)
         m = gf2.BitMatrix.from_bits(bits)
         r_ref, rr_ref = dense_gauss(bits)
         assert gf2.rank(m) == r_ref, trial
@@ -187,14 +203,28 @@ def test_solve_unique_accepts_only_full_column_rank():
 
 def test_prefactored_solver_matches_one_shot_solves():
     rng = np.random.default_rng(77)
-    for trial in range(25):
-        r = int(rng.integers(4, 40))
-        c = int(rng.integers(0, r + 1))
-        a = gf2.BitMatrix.from_bits(rng.integers(0, 2, (r, c), dtype=np.uint8))
+    for trial in range(27):
+        if trial < 25:
+            r = int(rng.integers(4, 40))
+            c = int(rng.integers(0, r + 1))
+            bits = rng.integers(0, 2, (r, c), dtype=np.uint8)
+        elif trial == 25:
+            # tall, over several words, full column rank
+            r, c = 150, 70
+            bits = rng.integers(0, 2, (r, c), dtype=np.uint8)
+        else:
+            # tall and rank deficient: [A | I] must take pivots in A's
+            # columns only, never in I's
+            r, c = 150, 100
+            bits = low_rank_bits(rng, r, c, 60)
+        a = gf2.BitMatrix.from_bits(bits)
         solver = gf2.PrefactoredSolver(a)
-        assert solver.rank == gf2.rank(a)
-        for _ in range(3):
-            b = rng.integers(0, 2, r, dtype=np.uint8)
+        assert solver.rank == gf2.rank(a) == dense_gauss(bits)[0]
+        assert trial < 25 or solver.rank == (70, 60)[trial - 25]
+        rhs = [rng.integers(0, 2, r, dtype=np.uint8) for _ in range(3)]
+        if trial >= 25:
+            rhs.append(gf2.mul(bits, rng.integers(0, 2, (c, 1), dtype=np.uint8))[:, 0])
+        for b in rhs:
             try:
                 want = gf2.solve_unique(a, gf2.BitMatrix.from_bits(b[:, None]))
             except ValueError as exc:
