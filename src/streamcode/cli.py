@@ -131,6 +131,7 @@ def _choice(*options: str) -> _Kind:
 # a JSON float (even 2.0) or boolean is no integer, as "2.0" is no flag integer
 _INT = _Kind("an integer", _check(lambda v: not isinstance(v, (bool, float)), int))
 _SEED = _Kind("a nonnegative integer", _check(lambda v: _INT.convert(v) >= 0, int))
+_COUNT = _Kind("a positive integer", _check(lambda v: _INT.convert(v) >= 1, int))
 _FLOAT = _Kind("a number", _check(lambda v: not isinstance(v, bool), float))
 _STR = _Kind("a string", _check(lambda v: isinstance(v, str)))
 _INTS = _Kind("a comma-separated integer list", _list_of(_INT.convert))
@@ -147,7 +148,7 @@ _FLAG = _Kind(
 # with dashes for underscores, the config key is name, and the default is
 # already typed.
 _OUT = ("out", _STR, None, "output path (default stdout)")
-_JOBS = ("jobs", _INT, 1, "worker processes (default 1)")
+_JOBS = ("jobs", _COUNT, 1, "worker processes (default 1)")
 _CHAIN = [
     ("flip", _FLOAT, None, "binary symmetric chain flip probability"),
     ("chain", _STR, None, "JSON file with a transition matrix"),
@@ -257,8 +258,8 @@ _DET = [
     ("W", _INT, 1),
     ("n", _INT, 64),
     ("delta", _INT, 8),
-    ("T", _INT, 24),
-    ("trials", _INT, 5),
+    ("T", _COUNT, 24),
+    ("trials", _COUNT, 5),
     ("seed", _SEED, 0),
     _JOBS,
     _OUT,

@@ -43,6 +43,16 @@ from . import gf2
 # bound; per-lag budgets in reports are gap * target
 QUANT_GAP = math.pi * math.e / 6.0
 
+# quantizer design: the safety factor on every layer's error budget
+# (gap * target), and the representable range in standard deviations
+_GAMMA = 0.9
+_CLAMP = 5.0
+
+# digit layout: the largest group size (and rate denominator) a layer split
+# may need, and how far a rate may sit from its rational snap
+_MAX_DENOMINATOR = 64
+_SNAP_TOL = 1e-6
+
 _TIME_MASK = (1 << 63) - 1
 
 
@@ -106,29 +116,28 @@ def layer_rates(d: Sequence[float], B: int, W: int) -> LayerRates:
     )
 
 
-def rate_grid(
-    rates: LayerRates, max_denominator: int = 64, tol: float = 1e-6
-) -> tuple[int, tuple[Fraction, ...]]:
+def rate_grid(rates: LayerRates) -> tuple[int, tuple[Fraction, ...]]:
     """Smallest group size m such that every layer contributes an integer
     number of bits per m samples.  Requires the rate increments to be
-    rational with small denominators; otherwise no fixed-rate digit layout
-    exists and the caller should adjust the targets.  The snap tolerance
-    forgives targets given to a few decimal places while still rejecting
-    rates that genuinely miss every coarse grid."""
+    rationals with denominator at most 64, within 1e-6; otherwise no
+    fixed-rate digit layout exists and the caller should adjust the
+    targets.  The snap tolerance forgives targets given to a few decimal
+    places while still rejecting rates that genuinely miss every coarse
+    grid."""
     fracs = []
     for t in rates.tilde:
-        fr = Fraction(t).limit_denominator(max_denominator)
-        if abs(float(fr) - t) > tol:
+        fr = Fraction(t).limit_denominator(_MAX_DENOMINATOR)
+        if abs(float(fr) - t) > _SNAP_TOL:
             raise InvalidInput(
                 "layer rates have no exact rational grid with denominator "
-                f"<= {max_denominator}; adjust the distortion targets"
+                f"<= {_MAX_DENOMINATOR}; adjust the distortion targets"
             )
         fracs.append(fr)
     m = math.lcm(*(fr.denominator for fr in fracs)) if fracs else 1
-    if m > max_denominator:
+    if m > _MAX_DENOMINATOR:
         raise InvalidInput(
             f"rational grid needs {m} samples per group, above the cap "
-            f"{max_denominator}; adjust the distortion targets"
+            f"{_MAX_DENOMINATOR}; adjust the distortion targets"
         )
     return m, tuple(fracs)
 
@@ -148,7 +157,6 @@ class SRCodec:
     rates: LayerRates
     group: int
     fracs: tuple[Fraction, ...]
-    gamma: float
     clamp: float
     carrier: int | None
     refine_bits: np.ndarray = field(repr=False)  # (B+1, group) bits per slot
@@ -192,18 +200,13 @@ class SRCodec:
         return (rng.random((g, self.group)) - 0.5) * self.carrier_step
 
 
-def sr_codec(rates: LayerRates, *, gamma: float = 0.9, clamp: float = 5.0) -> SRCodec:
+def sr_codec(rates: LayerRates) -> SRCodec:
     """Design the quantizer for a rate split.
 
-    ``gamma`` is the safety factor applied to the per-layer error budgets
-    (gap * target); ``clamp`` bounds the representable range in standard
-    deviations.  The per-slot steps are chosen so every layer's modelled
-    error (step^2/12, exact under the dither) sits inside its budget.
+    The per-slot steps are chosen so every layer's modelled error (step^2/12,
+    exact under the dither) sits inside 0.9 of its budget (gap * target),
+    and the carrier represents samples clamped to 5 standard deviations.
     """
-    if not 0.0 < gamma < 1.0:
-        raise InvalidInput("safety factor must lie in (0, 1)")
-    if clamp <= 0.0:
-        raise InvalidInput("clamp must be positive")
     m, fracs = rate_grid(rates)
     B = rates.B
     carrier = None
@@ -235,11 +238,11 @@ def sr_codec(rates: LayerRates, *, gamma: float = 0.9, clamp: float = 5.0) -> SR
         )
         expo = 4.0 ** below[: carrier + 1]  # variance growth per layer
         shape = 1.0 / np.max(expo / budgets[:, None], axis=0)
-        kappa = gamma * np.min(budgets / (expo * shape[None, :]).mean(axis=1))
+        kappa = _GAMMA * np.min(budgets / (expo * shape[None, :]).mean(axis=1))
         step0 = np.sqrt(12.0 * kappa * shape)
         cstep = step0 * 2.0 ** below[carrier]
-        fmax = np.floor((clamp + cstep / 2) / cstep).astype(np.int64)
-        fmin = np.floor(-(clamp + cstep / 2) / cstep).astype(np.int64)
+        fmax = np.floor((_CLAMP + cstep / 2) / cstep).astype(np.int64)
+        fmin = np.floor(-(_CLAMP + cstep / 2) / cstep).astype(np.int64)
         levels = fmax - fmin + 1
         shift = -fmin
         span = math.prod(int(x) for x in levels)
@@ -252,8 +255,7 @@ def sr_codec(rates: LayerRates, *, gamma: float = 0.9, clamp: float = 5.0) -> SR
         rates=rates,
         group=m,
         fracs=fracs,
-        gamma=gamma,
-        clamp=clamp,
+        clamp=_CLAMP,
         carrier=carrier,
         refine_bits=refine,
         below=below,
@@ -370,27 +372,22 @@ def sr_decode(
     return ((f + 0.5) * step[None, :] - u).ravel()
 
 
-def layer_rearrange(
-    codec: SRCodec, blocks: np.ndarray, *, lead: int | None = None
-) -> tuple[DiagonalSourceSpec, StreamTrace]:
+def layer_rearrange(codec: SRCodec, blocks: np.ndarray) -> tuple[DiagonalSourceSpec, StreamTrace]:
     """Rearrange per-time digit blocks into a layered linear bit source.
 
-    ``blocks`` holds one encoded row per time for times [-lead, T); the
-    default lead of 2(B+W) is exactly what the deepest layer of the
-    earliest revealed tail time reaches back to.  Layer l <= W of the
-    result repeats the full digit block from l steps ago; layer W + k
-    carries the coarse suffix from W + k steps ago, so each inter-layer
-    map is either an identity or a projection that drops one finer block
-    -- full row rank either way.
+    ``blocks`` holds one encoded row per time for times [-2(B+W), T); that
+    lead is exactly what the deepest layer of the earliest revealed tail
+    time reaches back to.  Layer l <= W of the result repeats the full
+    digit block from l steps ago; layer W + k carries the coarse suffix
+    from W + k steps ago, so each inter-layer map is either an identity or
+    a projection that drops one finer block -- full row rank either way.
     """
     B, W = codec.rates.B, codec.rates.W
     K = B + W
     blk = np.asarray(blocks, dtype=np.uint8)
     if blk.ndim != 2:
         raise InvalidInput("blocks must be a (times, bits) array")
-    lead = 2 * K if lead is None else int(lead)
-    if lead < 2 * K:
-        raise InvalidInput(f"need at least {2 * K} lead-in blocks before time zero")
+    lead = 2 * K
     T = blk.shape[0] - lead
     if T < 0:
         raise InvalidInput("not enough blocks for the lead-in")
@@ -480,8 +477,6 @@ def gaussian_pipeline(
     mode: str = "ideal",
     seed: int = 0,
     delta: int = 8,
-    gamma: float = 0.9,
-    clamp: float = 5.0,
 ) -> DistortionReport:
     """Run the layered Gaussian scheme end to end and measure it.
 
@@ -494,14 +489,13 @@ def gaussian_pipeline(
         packets carried them; "binned" hashes the rearranged bit source
         into packets and runs the streaming decoder on what survives.
     delta : extra packet bits above the rate floor (binned accounting).
-    gamma, clamp : quantizer safety factor and range, in standard deviations.
 
     Returns a DistortionReport; raises PatternViolation when the erasures
     break the (B, W) contract and InvariantViolation if the realized rate
     accounting drifts from the closed form.
     """
     rates_split = layer_rates(d, B, W)
-    codec = sr_codec(rates_split, gamma=gamma, clamp=clamp)
+    codec = sr_codec(rates_split)
     if mode not in ("ideal", "binned"):
         raise InvalidInput("mode must be 'ideal' or 'binned'")
     if T < 1:

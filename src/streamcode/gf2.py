@@ -139,9 +139,6 @@ class BitMatrix:
     def is_zero(self) -> bool:
         return not self.words.any()
 
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, self.words.copy())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitMatrix):
             return NotImplemented
@@ -237,19 +234,6 @@ class BitVector:
 
     def to_bits(self) -> np.ndarray:
         return _unpack_bits(self.words[None, :], self.n)[0]
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitVector(self.n, self.words ^ other.words)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitVector):
-            return NotImplemented
-        return self.n == other.n and bool(np.array_equal(self.words, other.words))
-
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("BitVector is mutable and unhashable")
 
     def __repr__(self) -> str:
         return f"BitVector(n={self.n})"

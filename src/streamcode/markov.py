@@ -15,6 +15,7 @@ from .errors import InvalidInput, InvariantViolation, json_field
 
 _ROW_TOL = 1e-12
 _PI_RESIDUAL = 1e-13
+_BALANCE_TOL = 1e-12
 
 
 def _entropy_bits(p: np.ndarray, axis: int | None = None) -> Any:
@@ -170,14 +171,14 @@ def block_cond_entropy(chain: FiniteMarkovChain, B: int, W: int) -> float:
     return cond_entropy_gap(chain, B + 1) + W * cond_entropy_gap(chain, 1)
 
 
-def is_symmetric(chain: FiniteMarkovChain, tol: float = 1e-12) -> bool:
-    """True when the chain satisfies detailed balance within ``tol``.
+def is_symmetric(chain: FiniteMarkovChain) -> bool:
+    """True when the chain satisfies detailed balance within 1e-12.
 
     Detailed balance (pi_a * P[a,b] == pi_b * P[b,a]) makes the pair
     distribution of consecutive states invariant under time reversal.
     """
     flow = chain.pi[:, None] * chain.P
-    return bool(np.abs(flow - flow.T).max() <= tol)
+    return bool(np.abs(flow - flow.T).max() <= _BALANCE_TOL)
 
 
 def random_chain(rng: np.random.Generator, alphabet_size: int) -> FiniteMarkovChain:

@@ -23,7 +23,6 @@ code's prefactored solvers, keyed by (t, erased count).
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Sequence
@@ -36,15 +35,19 @@ from .sources import DiagonalSourceSpec
 
 
 class _Codec:
-    """Everything fixed by one (spec, B, W) design point and one BinCode:
-    codeword part widths, cached layer-to-layer map products as dense bit
-    arrays, and the code's prefactored solvers for ``solve_window``, in one
-    dict keyed by (t, erased count); a steady step is the zero-erasure
-    window (t, 0).  The code-less codec of ``rearrange`` and
-    ``reconstruct_symbol`` never solves.
+    """Everything fixed by one (spec, B, W) design point: codeword part
+    widths, cached layer-to-layer map products as dense bit arrays, and the
+    prefactored solvers of ``solve_window``, in one dict keyed by
+    (t, erased count); a steady step is the zero-erasure window (t, 0).
+
+    The solvers belong to the BinCode that keeps this codec (see
+    ``BinCode.codec``); the codec holds no reference back to it, since
+    ``solve_window`` receives the code.  So a code and its codecs form no
+    reference cycle, and a dropped code frees its hashes and solvers at
+    once.
     """
 
-    def __init__(self, spec: DiagonalSourceSpec, B: int, W: int, code: BinCode | None = None):
+    def __init__(self, spec: DiagonalSourceSpec, B: int, W: int):
         if B < 0 or W < 0:
             raise InvalidInput("B and W must be nonnegative")
         if spec.K != B + W:
@@ -54,9 +57,6 @@ class _Codec:
         self.spec = spec
         self.B = B
         self.W = W
-        # a proxy, so that a code and its codecs form no reference cycle and
-        # a dropped code frees its hashes and solvers at once
-        self.code = None if code is None else weakref.proxy(code)
         self.widths = spec.widths
         self.part_widths = (spec.widths[0],) + tuple(
             spec.widths[W + k] for k in range(1, B + 1)
@@ -94,12 +94,14 @@ class _Codec:
 
     def solve_window(
         self,
+        code: BinCode,
         t: int,
         j0: int,
         packets: Sequence[np.ndarray],
         pre: Sequence[np.ndarray],
     ) -> list[np.ndarray]:
-        """Joint decode of the packets of times t-L+1..t, L = len(packets).
+        """Joint decode of the packets of times t-L+1..t, L = len(packets),
+        hashed by ``code``, the BinCode that keeps this codec.
 
         Times j0..t-L were erased and ``pre`` is the full symbol at j0-1.
         A steady step is the case j0 = t, L = 1; a recovery deadline has
@@ -112,7 +114,6 @@ class _Codec:
         innovation), erased (an unknown deep part), or before j0 (known,
         propagated from ``pre``).
         """
-        code = self.code
         n, W, B = code.n, self.W, self.B
         n0 = self.widths[0]
         L = len(packets)
@@ -307,7 +308,7 @@ class BinCode:
         key = (id(spec), B, W)
         got = self._codecs.get(key)
         if got is None:
-            got = _Codec(spec, B, W, self)
+            got = _Codec(spec, B, W)
             if got.r0 != self.r0_bits:
                 raise InvalidInput("bin code was sized for a different design point")
             self._codecs[key] = got
@@ -321,20 +322,19 @@ def design_bincode(
     n: int,
     delta: int = 8,
     seed: int = 0,
-    packet_bits: int | None = None,
 ) -> BinCode:
     """Size a BinCode for the given source and channel design point.
 
     The packet carries ceil(n * diagonal_rate(N, B, W)) + delta bits
     (delta slack bits per packet buy a 2**-((W+1)*delta) failure bound),
-    capped at the raw codeword size, which disables binning.  An
-    explicit ``packet_bits`` below the information threshold is refused.
+    capped at the raw codeword size, which disables binning.  A negative
+    ``delta`` puts the packet below the information threshold and is
+    refused.
     """
     r0 = _Codec(spec, B, W).r0
     need = math.ceil(rates.diagonal_rate(spec.widths, B, W) * n)
     cap = n * r0
-    if packet_bits is None:
-        packet_bits = min(need + delta, cap)
+    packet_bits = min(need + delta, cap)
     if not need <= packet_bits <= cap:
         raise InvalidInput(
             f"packet_bits must lie in [{need}, {cap}] for this design point"
@@ -399,7 +399,6 @@ class DecoderState:
     time: int
     mode: str  # "steady" | "recovering"
     last_known: list
-    recovered_time: int
     burst_start: int | None = None
     burst_len: int = 0
     buffered: list = field(default_factory=list)
@@ -408,7 +407,7 @@ class DecoderState:
     def initial(cls, tail_symbol: Sequence[np.ndarray]) -> "DecoderState":
         """Start at time 0 given the revealed symbol at time -1."""
         layers = [np.asarray(s, np.uint8) for s in tail_symbol]
-        return cls(time=0, mode="steady", last_known=layers, recovered_time=-1)
+        return cls(time=0, mode="steady", last_known=layers)
 
 
 def decode_step(
@@ -429,9 +428,13 @@ def decode_step(
         PatternViolation: the erasure pattern breaks the single-burst /
             guard-spacing contract this codec is designed for.
         DecodeFailure: the hash did not pin the unknowns down uniquely.
+        InvalidInput: at time 0, the revealed tail symbol lacks an
+            (n, N_j) layer for some j < K (the layers the decoder reads).
     """
     codec = bincode.codec(spec, B, W)
     t = state.time
+    if t == 0:
+        _check_tail(state.last_known, spec, bincode.n)
     if packet is None:
         if state.mode == "steady":
             if B == 0:
@@ -456,21 +459,32 @@ def decode_step(
         raise InvalidInput("packet size does not match the bin code")
 
     if state.mode == "steady":
-        layers = codec.solve_window(t, t, [arr], state.last_known)
+        layers = codec.solve_window(bincode, t, t, [arr], state.last_known)
     else:
         state.buffered.append(arr)
         if len(state.buffered) < W + 1:
             state.time += 1
             return state, None
-        layers = codec.solve_window(t, state.burst_start, state.buffered, state.last_known)
+        layers = codec.solve_window(
+            bincode, t, state.burst_start, state.buffered, state.last_known
+        )
         state.mode = "steady"
         state.burst_start = None
         state.burst_len = 0
         state.buffered = []
     state.last_known = layers
-    state.recovered_time = t
     state.time += 1
     return state, layers
+
+
+def _check_tail(tail: Sequence[np.ndarray], spec: DiagonalSourceSpec, n: int) -> None:
+    """Layers 0..K-1 of the time -1 symbol feed the first decode; the
+    deepest layer K feeds nothing, so a K = 0 source needs no tail."""
+    want = [(n, w) for w in spec.widths[: spec.K]]
+    if len(tail) < spec.K or any(np.shape(layer) != s for layer, s in zip(tail, want)):
+        raise InvalidInput(
+            f"tail symbol must hold layers of shapes {want} (n copies by N_j bits)"
+        )
 
 
 def decode_stream(stream: PacketStream, bincode: BinCode, tail_symbol) -> list:

@@ -8,7 +8,7 @@ widths (exact rationals); Gaussian rates are bits per spatial sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,36 +26,14 @@ _AGREE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RateQuery:
-    """Channel/recovery parameters: burst length B, window slack W, and an
-    optional decode delay T (used only by the delay-constrained scheme)."""
+    """Channel/recovery parameters: burst length B and window slack W."""
 
     B: int
     W: int
-    T: int | None = None
 
     def __post_init__(self) -> None:
         if self.B < 0 or self.W < 0:
             raise InvalidInput("B and W must be nonnegative")
-        if self.T is not None and self.T < 0:
-            raise InvalidInput("T must be nonnegative")
-
-    @property
-    def p(self) -> int:
-        """Recovery period: burst plus window plus the packet that ends it."""
-        return self.B + self.W + 1
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Upper/lower rate bounds plus the named terms they are built from."""
-
-    r_plus: float
-    r_minus: float
-    components: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.r_minus > self.r_plus + 1e-12:
-            raise InvariantViolation("lower bound exceeds upper bound")
 
 
 def r_plus(chain: FiniteMarkovChain, q: RateQuery) -> float:
@@ -83,30 +61,17 @@ def r_symmetric_memoryless(chain: FiniteMarkovChain, q: RateQuery) -> float:
 
 def r_delay(chain: FiniteMarkovChain, B: int, T: int) -> float:
     """Rate for immediate-window recovery (W=0) with decode delay T."""
-    q = RateQuery(B=B, W=0, T=T)
+    if B < 0:
+        raise InvalidInput("B and W must be nonnegative")
+    if T < 0:
+        raise InvalidInput("T must be nonnegative")
     direct = (
         cond_entropy_gap(chain, B + 1) + T * cond_entropy_gap(chain, 1)
     ) / (T + 1)
-    via_block = block_cond_entropy(chain, q.B, T) / (T + 1)
+    via_block = block_cond_entropy(chain, B, T) / (T + 1)
     if abs(direct - via_block) > _AGREE_TOL:
         raise InvariantViolation("rate identity violated between the two forms")
     return direct
-
-
-def rate_report(chain: FiniteMarkovChain, q: RateQuery) -> RateReport:
-    """Both bounds with their term breakdown."""
-    predictive = cond_entropy_gap(chain, 1)
-    upper_mi = cond_mutual_info(chain, q.B, 1) / (q.W + 1)
-    lower_mi = cond_mutual_info(chain, q.B, q.W + 1) / (q.W + 1)
-    return RateReport(
-        r_plus=predictive + upper_mi,
-        r_minus=predictive + lower_mi,
-        components={
-            "predictive": predictive,
-            "window_mi_upper": upper_mi,
-            "window_mi_lower": lower_mi,
-        },
-    )
 
 
 def _check_widths(N: Sequence[int]) -> list[int]:

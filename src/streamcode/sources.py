@@ -1,11 +1,11 @@
-"""Source models: layered linear bit sources over GF(2), semi-deterministic
-sources, binary Markov streams, and i.i.d. Gaussian samples.
+"""Source models: layered linear bit sources over GF(2) and
+semi-deterministic two-layer sources, with their trace generators.
 
-A trace holds ``n`` spatially independent copies of one temporal process.
-Structured (bit) sources store each sub-symbol as a (T, n, width) uint8
-array; scalar sources store a (T, n) array.  Times before zero live in a
-seeded tail that generators expose so decoders can treat pre-stream history
-as known.
+A trace holds ``n`` spatially independent copies of one temporal process,
+each sub-symbol as a (T, n, width) uint8 array.  Times before zero live in
+a seeded tail that generators expose so decoders can treat pre-stream
+history as known.  (Markov sample paths are drawn by
+``sw_binning.sample_path``; the Gaussian pipeline draws its own samples.)
 """
 
 from __future__ import annotations
@@ -138,32 +138,26 @@ class StreamTrace:
         return self.tail[j][t + self.tail_depth]
 
 
-def gen_diagonal(
-    spec: DiagonalSourceSpec, n: int, T: int, seed: int, tail_depth: int | None = None
-) -> StreamTrace:
+def gen_diagonal(spec: DiagonalSourceSpec, n: int, T: int, seed: int) -> StreamTrace:
     """Drive a layered linear source with i.i.d. uniform innovations.
 
-    The tail (default depth K) is produced from the same seed and satisfies
+    The tail, times [-K, 0), is produced from the same seed and satisfies
     every layer relation, so decoders may treat all negative times as known
     history.
     """
     if n < 1 or T < 0:
         raise InvalidInput("need n >= 1 and T >= 0")
     K = spec.K
-    depth = K if tail_depth is None else int(tail_depth)
-    if depth < 0:
-        raise InvalidInput("tail depth must be nonnegative")
     rng = np.random.default_rng(seed)
-    # innovations reach back far enough that even the deepest layer of the
+    # innovations reach back 2K steps, so that even the deepest layer of the
     # earliest tail time is defined
-    pre = depth + K
-    innov = rng.integers(0, 2, (T + pre, n, spec.widths[0]), dtype=np.uint8)
+    innov = rng.integers(0, 2, (T + 2 * K, n, spec.widths[0]), dtype=np.uint8)
     sub: list[np.ndarray] = []
     tail: list[np.ndarray] = []
     for j in range(K + 1):
-        mapped = gf2.mul(innov[pre - depth - j : len(innov) - j], spec.composed(j).to_bits().T)
-        tail.append(mapped[:depth])
-        sub.append(mapped[depth:])
+        mapped = gf2.mul(innov[K - j : len(innov) - j], spec.composed(j).to_bits().T)
+        tail.append(mapped[:K])
+        sub.append(mapped[K:])
     return StreamTrace(
         kind="diagonal",
         n=n,
@@ -197,47 +191,6 @@ def gen_semidet(
         widths=(spec.N0, spec.Nd),
         sub=[s0[tail_depth:], sd[tail_depth:]],
         tail=[s0[:tail_depth], sd[:tail_depth]],
-    )
-
-
-def gen_binary_markov(eps: float, n: int, T: int, seed: int, tail_depth: int = 1) -> StreamTrace:
-    """Binary chain per copy: each step flips the previous bit with
-    probability eps."""
-    if not 0.0 <= eps <= 1.0:
-        raise InvalidInput("flip probability must lie in [0, 1]")
-    if n < 1 or T < 0:
-        raise InvalidInput("need n >= 1 and T >= 0")
-    if tail_depth < 1:
-        raise InvalidInput("tail depth must be at least 1")
-    rng = np.random.default_rng(seed)
-    total = T + tail_depth
-    bits = np.zeros((total, n), np.uint8)
-    bits[0] = rng.integers(0, 2, n, dtype=np.uint8)
-    flips = (rng.random((total - 1, n)) < eps).astype(np.uint8)
-    for t in range(1, total):
-        bits[t] = bits[t - 1] ^ flips[t - 1]
-    return StreamTrace(
-        kind="binary",
-        n=n,
-        T=T,
-        widths=(1,),
-        sub=[bits[tail_depth:]],
-        tail=[bits[:tail_depth]],
-    )
-
-
-def gen_gaussian_iid(n: int, T: int, seed: int) -> StreamTrace:
-    """Zero-mean unit-variance i.i.d. samples, (T, n)."""
-    if n < 1 or T < 0:
-        raise InvalidInput("need n >= 1 and T >= 0")
-    rng = np.random.default_rng(seed)
-    return StreamTrace(
-        kind="gaussian",
-        n=n,
-        T=T,
-        widths=(1,),
-        sub=[rng.standard_normal((T, n))],
-        tail=[np.zeros((0, n))],
     )
 
 

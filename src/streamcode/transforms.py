@@ -120,12 +120,6 @@ class DropPlan:
         if self.sub.shape != (kept, kept):
             raise InvalidInput("kept-layer transition has the wrong shape")
 
-    def predict(self, initial: np.ndarray, count: int) -> np.ndarray:
-        """Values of the dropped layer for ``count`` steps after the anchor
-        time, given its value at the anchor: successive powers of the
-        self-map applied to ``initial`` (shape (n, width))."""
-        return self.offset_streams(initial, count + 1)[0][1:]
-
     def offset_streams(self, anchor: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
         """Dropped-layer values and kept-layer offsets for the whole
         timeline, anchored at slot 0 where the offset is zero."""

@@ -357,6 +357,28 @@ def test_negative_seed_is_an_input_error(argv, name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["simulate-det", "--trials", "-1"], "trials"),
+        (["simulate-det", "--T", "-1"], "T"),
+        (["simulate-det", "--T", "0"], "T"),
+        (["simulate-det", "--jobs", "-2"], "jobs"),
+        (["sweep", "--flip", "0.25", "--jobs", "0"], "jobs"),
+    ],
+    ids=["det-trials", "det-T-negative", "det-T-zero", "det-jobs", "sweep-jobs"],
+)
+def test_nonpositive_count_is_an_input_error(argv, name, tmp_path, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {name}: expected a positive integer")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: int(argv[-1])}))
+    code, out, err = run_cli(argv[:-2] + ["--config", str(cfg)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {name}: expected a positive integer")
+
+
+@pytest.mark.parametrize(
     "chain, problem",
     [
         ({"Q": [[0.5, 0.5], [0.5, 0.5]]}, "'P'"),

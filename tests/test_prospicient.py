@@ -1,6 +1,8 @@
 """Lookahead codec: rearrangement, linear binning, and the two-mode decoder."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -114,7 +116,7 @@ def test_design_bincode_sizing_and_feasibility():
     assert code.packet_bits == min(need + 8, n * code.r0_bits)
     assert code.r0_bits == spec.widths[0] + spec.widths[2] + spec.widths[3]
     with pytest.raises(InvalidInput, match="packet_bits"):
-        prospicient.design_bincode(spec, B, W, n, packet_bits=need - 1)
+        prospicient.design_bincode(spec, B, W, n, delta=-1)
     # a huge delta saturates at the raw codeword width (binning disabled)
     full = prospicient.design_bincode(spec, B, W, n, delta=10**6)
     assert full.identity_mode
@@ -300,6 +302,46 @@ def test_undersized_packets_raise_decode_failure():
     code = prospicient.BinCode(seed=10, n=n, r0_bits=2, packet_bits=n - 1)
     with pytest.raises(DecodeFailure, match="underdetermined"):
         run_decode(trace, spec, 1, 1, code)
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        lambda sym: [],
+        lambda sym: sym[:1],
+        lambda sym: [np.zeros((16, 0), np.uint8) for _ in sym],
+        lambda sym: [layer[:3] for layer in sym],
+    ],
+    ids=["empty", "one-layer", "zero-width", "three-copies"],
+)
+def test_malformed_tail_symbol_is_an_input_error(tail):
+    spec = sources.DiagonalSourceSpec((3, 2, 1), (bm([[1, 0, 0], [0, 1, 0]]), bm([[1, 0]])))
+    n, T = 16, 4
+    trace = sources.gen_diagonal(spec, n, T, seed=26)
+    code = prospicient.design_bincode(spec, 1, 1, n, seed=13)
+    stream = prospicient.encode(trace, spec, 1, 1, code)
+    with pytest.raises(InvalidInput, match="tail symbol"):
+        prospicient.decode_stream(stream, code, tail(symbol_at(trace, -1)))
+
+
+def test_dropped_code_is_freed_without_the_cycle_collector():
+    # a codec holds no reference back to its code, so dropping the code
+    # frees it, its hashes and its solvers at once
+    spec = unit_chain(2)
+    n, T = 8, 6
+    trace = sources.gen_diagonal(spec, n, T, seed=28)
+    gc.disable()
+    try:
+        code = prospicient.design_bincode(spec, 1, 1, n, seed=15)
+        out = run_decode(trace, spec, 1, 1, code, channel.single_burst(2, 1, T))
+        check_outputs(trace, out, window=(2, 3))
+        built = len(code.codec(spec, 1, 1)._solvers)
+        assert built > 0
+        ref = weakref.ref(code)
+        del code
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------- symbol reconstruction

@@ -117,18 +117,6 @@ def test_r_delay_examples():
     assert abs(got - (h_b(eps3) + h_b(0.25)) / 2) <= 1e-12
 
 
-def test_rate_report():
-    chain = markov.BinarySymmetricChain(0.3)
-    q = rates.RateQuery(B=2, W=1)
-    report = rates.rate_report(chain, q)
-    assert abs(report.r_plus - rates.r_plus(chain, q)) <= 1e-12
-    assert abs(report.r_minus - rates.r_minus(chain, q)) <= 1e-12
-    comp = report.components
-    assert abs(comp["predictive"] + comp["window_mi_upper"] - report.r_plus) <= 1e-12
-    assert abs(comp["predictive"] + comp["window_mi_lower"] - report.r_minus) <= 1e-12
-    assert q.p == 4
-
-
 def test_diagonal_rate_examples():
     assert rates.diagonal_rate([3, 2, 1], 1, 1) == Fraction(7, 2)
     assert rates.diagonal_rate([2, 1], 1, 0) == Fraction(3)
@@ -198,7 +186,7 @@ def test_validation():
     with pytest.raises(InvalidInput):
         rates.RateQuery(B=-1, W=0)
     with pytest.raises(InvalidInput):
-        rates.RateQuery(B=0, W=0, T=-2)
+        rates.r_delay(markov.BinarySymmetricChain(0.25), 0, -2)
     with pytest.raises(InvalidInput):
         rates.gaussian_rate((0.5, 0.4), 1, 0)  # decreasing
     with pytest.raises(InvalidInput):

@@ -126,6 +126,18 @@ def test_ties_are_flagged_and_broken_lexicographically():
     assert out == [(0, 0, 0)]  # every candidate equally likely; first wins
 
 
+def test_sample_path_frozen_toggling_and_flip_rate():
+    frozen = sw_binning.sample_path(BinarySymmetricChain(0.0), 5, 30, np.random.default_rng(0))
+    assert (frozen == frozen[0]).all()
+    toggle = sw_binning.sample_path(BinarySymmetricChain(1.0), 5, 30, np.random.default_rng(0))
+    assert (toggle[1:] == 1 - toggle[:-1]).all()
+    eps = 0.25
+    path = sw_binning.sample_path(BinarySymmetricChain(eps), 100, 1000, np.random.default_rng(5))
+    flips = (path[1:] != path[:-1]).mean()
+    sigma = (eps * (1 - eps) / (1000 * 100)) ** 0.5
+    assert abs(flips - eps) < 3 * sigma
+
+
 def test_validation_rejects_oversized_or_malformed_windows():
     chain = BinarySymmetricChain(0.1)
     with pytest.raises(InvalidInput, match="budget"):

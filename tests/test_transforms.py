@@ -184,7 +184,7 @@ def test_lb_dropped_layer_tracks_initial_tail():
     assert lmap.drop is not None
     assert lmap.drop.initial == tuple(tuple(int(x) for x in row) for row in anchor)
     # identity self-map: the dropped layer stays at its anchor forever
-    assert np.array_equal(lmap.drop.predict(anchor, 10), np.broadcast_to(anchor, (10, n, 2)))
+    assert np.array_equal(lmap.drop.offset_streams(anchor, 11)[0][1:], np.broadcast_to(anchor, (10, n, 2)))
 
     # build a conforming trace by hand and push it through
     T, depth = 12, 1
