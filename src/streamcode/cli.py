@@ -446,7 +446,7 @@ _ORACLE = [
     ("T", _INT, 1),
     ("rate", _FLOAT, None),
     ("n", _INT, 12),
-    ("trials", _INT, 200),
+    ("trials", _COUNT, 200),
     ("seed", _SEED, 0),
     ("modes", _STRS, ("steady", "post_burst", "delayed")),
     ("horizon", _INT, None),
@@ -496,7 +496,7 @@ _SWEEP = [
     ("W", _INT, 0),
     ("T", _INT, 1),
     ("n", _INT, 12),
-    ("trials", _INT, 400),
+    ("trials", _COUNT, 400),
     ("seed", _SEED, 0),
     ("modes", _STRS, ("steady", "post_burst")),
     ("rates", _FLOATS, None, "explicit rate list"),

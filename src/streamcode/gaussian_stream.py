@@ -488,7 +488,9 @@ def gaussian_pipeline(
     mode : "ideal" delivers digit blocks verbatim and only tracks which
         packets carried them; "binned" hashes the rearranged bit source
         into packets and runs the streaming decoder on what survives.
-    delta : extra packet bits above the rate floor (binned accounting).
+    delta : extra packet bits above the rate floor (binned accounting);
+        a negative delta would put the packet below the floor and is
+        refused in both modes.
 
     Returns a DistortionReport; raises PatternViolation when the erasures
     break the (B, W) contract and InvariantViolation if the realized rate
@@ -500,6 +502,8 @@ def gaussian_pipeline(
         raise InvalidInput("mode must be 'ideal' or 'binned'")
     if T < 1:
         raise InvalidInput("need at least one time block")
+    if delta < 0:
+        raise InvalidInput(f"delta must be nonnegative, got {delta}")
     K = B + W
     lead = 2 * K
     if burst is None:

@@ -44,22 +44,17 @@ def _n_words(cols: int) -> int:
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a (rows, cols) 0/1 array into (rows, n_words) uint64."""
-    rows, cols = bits.shape
-    nw = _n_words(cols)
-    out = np.zeros((rows, nw * 8), np.uint8)
+    """Pack a (..., cols) 0/1 array into (..., n_words) uint64."""
+    cols = bits.shape[-1]
+    out = np.zeros(bits.shape[:-1] + (_n_words(cols) * 8,), np.uint8)
     if cols:
-        packed = np.packbits(bits.astype(np.uint8, copy=False), axis=1, bitorder="little")
-        out[:, : packed.shape[1]] = packed
+        out[..., : (cols + 7) >> 3] = np.packbits(bits, axis=-1, bitorder="little")
     return out.view(np.uint64)
 
 
 def _unpack_bits(words: np.ndarray, cols: int) -> np.ndarray:
-    rows = words.shape[0]
-    if cols == 0:
-        return np.zeros((rows, 0), np.uint8)
-    as_bytes = words.view(np.uint8)
-    return np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :cols]
+    """Inverse of :func:`_pack_bits`: the first ``cols`` bits of each row."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=cols, bitorder="little")
 
 
 def mul(a, b) -> np.ndarray:
@@ -172,8 +167,12 @@ class BitMatrix:
             raise ValueError("dimension mismatch")
         if self.cols == 0:
             return BitVector.zeros(self.rows)
-        parity = np.bitwise_count(self.words & vec.words).sum(axis=1) & 1
-        return BitVector.from_bits(parity.astype(np.uint8))
+        # a row's parity is the parity of its popcounts' sum; the uint8
+        # product wraps modulo 256, which keeps it, and sums faster than
+        # a reduction along the short word axis
+        ones = np.ones(self.words.shape[1], np.uint8)
+        parity = (np.bitwise_count(self.words & vec.words) @ ones) & 1
+        return BitVector(self.rows, _pack_bits(parity))
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix.from_bits(self.to_bits().T)
@@ -230,10 +229,10 @@ class BitVector:
     @classmethod
     def from_bits(cls, bits) -> "BitVector":
         arr = np.asarray(bits, dtype=np.uint8).ravel() & 1
-        return cls(arr.size, _pack_bits(arr[None, :])[0])
+        return cls(arr.size, _pack_bits(arr))
 
     def to_bits(self) -> np.ndarray:
-        return _unpack_bits(self.words[None, :], self.n)[0]
+        return _unpack_bits(self.words, self.n)
 
     def __repr__(self) -> str:
         return f"BitVector(n={self.n})"
@@ -366,21 +365,23 @@ class PrefactoredSolver:
     """Reusable unique-solution solver for a fixed coefficient matrix.
 
     Reducing ``[A | I]`` once (the same Gauss-Jordan pass as
-    :func:`solve`) records the row operations: the rows of I beside A's
-    pivot rows form the solve map S (x = S b when A has full column rank),
-    the rows below the rank form the residual map C (C b == 0 exactly when
-    the system is consistent).  Every further right-hand side costs two
-    packed matrix-vector products instead of a fresh elimination.
+    :func:`solve`) records the row operations ``ops``, a rows x rows map:
+    its first ``rank`` rows, beside A's pivot rows, form the solve map S
+    (x = S b when A has full column rank), the rows below the rank form the
+    residual map C (C b == 0 exactly when the system is consistent).  Every
+    further right-hand side costs one packed matrix-vector product instead
+    of a fresh elimination.  ``ops`` is public, so a caller can also push a
+    matrix of right-hand sides through it, or keep a residual that is not
+    yet known to vanish.
     """
 
-    __slots__ = ("rows", "cols", "rank", "_solve_map", "_check_map")
+    __slots__ = ("rows", "cols", "rank", "ops")
 
     def __init__(self, a: BitMatrix) -> None:
         self.rows, self.cols = a.rows, a.cols
         r, _, ops = _reduce_augmented(a, np.eye(a.rows, dtype=np.uint8))
         self.rank = r
-        self._solve_map = BitMatrix.from_bits(ops[:r])
-        self._check_map = BitMatrix.from_bits(ops[r:])
+        self.ops = BitMatrix.from_bits(ops)
 
     def solve_unique(self, b) -> np.ndarray:
         """Solve A x = b for one right-hand side.
@@ -401,9 +402,10 @@ class PrefactoredSolver:
             raise ValueError("row count mismatch")
         if self.rank < self.cols:
             raise ValueError("underdetermined")
-        if self._check_map.mul_vec(vec).words.any():
+        z = self.ops.mul_vec(vec).to_bits()
+        if z[self.rank :].any():
             raise ValueError("inconsistent system")
-        return self._solve_map.mul_vec(vec).to_bits()
+        return z[: self.rank]
 
 
 def independent_rows(m: BitMatrix) -> tuple[np.ndarray, BitMatrix]:

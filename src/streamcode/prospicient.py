@@ -6,18 +6,24 @@ k = 1..B, the image of layer k under the layer-to-layer products that
 will matter W+k steps later — and transmits a seeded random linear hash
 of the codeword across all n spatial copies.  The decoder has one
 rule, a joint linear solve over a window of received packets: after a
-burst of B' <= B erasures it buffers W+1 packets and solves one stacked
-system whose unknowns are the (W+1)·n·N_0 fresh innovation bits plus the
-n·sum(N_{W+k}) deep-codeword bits the burst destroyed.  A steady step is
-the zero-erasure case of the same solve: one packet, whose n·N_0
-innovation bits are the only unknowns.  Everything outside the
-error-propagation window [burst_start, burst_start+B'+W-1] is emitted
-bit-exactly; window times are emitted as explicit skip markers.
+burst of B' <= B erasures it buffers W+1 packets and solves for the
+(W+1)·n·N_0 fresh innovation bits plus the n·sum(N_{W+k}) deep-codeword
+bits the burst destroyed.  A steady step is the zero-erasure case of the
+same solve: one packet, whose n·N_0 innovation bits are the only
+unknowns, solved by the steady solver of its time.  A recovery window is
+composed from the steady solvers of its times: each packet gives its
+innovation as an affine function of the deep parts, and what its steady
+solver cannot absorb leaves check equations in the deep parts alone, one
+small system for the whole window.  Only when some time's innovation
+columns lack full column rank is the window solved as one stacked system.
+Everything outside the error-propagation window
+[burst_start, burst_start+B'+W-1] is emitted bit-exactly; window times are
+emitted as explicit skip markers.
 
 A BinCode is only the seeded hash, so one code can serve several specs.
 For each (spec, B, W) it is used with, the code keeps one codec, built on
 first use, that holds the layer-map products and one cache of that
-code's prefactored solvers, keyed by (t, erased count).
+code's solvers, keyed by (t, erased count).
 """
 
 from __future__ import annotations
@@ -37,8 +43,12 @@ from .sources import DiagonalSourceSpec
 class _Codec:
     """Everything fixed by one (spec, B, W) design point: codeword part
     widths, cached layer-to-layer map products as dense bit arrays, and the
-    prefactored solvers of ``solve_window``, in one dict keyed by
-    (t, erased count); a steady step is the zero-erasure window (t, 0).
+    solvers of ``solve_window``, in one dict keyed by (t, erased count).
+    Key (t, 0) holds the steady solver of time t, the building block of
+    every decode; a recovery key (t, bp >= 1) holds the window composed
+    from the steady solvers of its times (a small solver for the deep parts
+    plus the map that lifts them onto the innovations), or a stacked solver
+    when some time's innovation columns lack full column rank.
 
     The solvers belong to the BinCode that keeps this codec (see
     ``BinCode.codec``); the codec holds no reference back to it, since
@@ -66,7 +76,7 @@ class _Codec:
         self._rbits = [None] + [m.to_bits() for m in spec.R]
         self._prods: dict[tuple[int, int], np.ndarray] = {}
         # by (t, erased count): a steady step is (t, 0), a deadline (t, bp >= 1)
-        self._solvers: dict[tuple[int, int], gf2.PrefactoredSolver] = {}
+        self._solvers: dict[tuple[int, int], gf2.PrefactoredSolver | _Composed] = {}
 
     def prod(self, hi: int, lo: int) -> np.ndarray:
         """Dense product of the inter-layer maps from layer lo up to hi."""
@@ -113,68 +123,163 @@ class _Codec:
         the layer products — and tau-k is either received (an unknown
         innovation), erased (an unknown deep part), or before j0 (known,
         propagated from ``pre``).
+
+        A steady step is one solve by the steady solver of time t.  A window
+        is composed from the steady solvers of its times (see ``_compose``):
+        a pass of steady solves with the deep parts set to zero, one small
+        solve for the deep parts, and one product that lifts them onto the
+        innovations.  When some time's innovation columns lack full column
+        rank, the window is solved as one stacked system instead.  Both
+        routes give the same bits and the same ``DecodeFailure`` text.
         """
-        n, W, B = code.n, self.W, self.B
-        n0 = self.widths[0]
+        n, n0 = code.n, self.widths[0]
         L = len(packets)
         first = t - L + 1
         bp = first - j0
+        if L == 1 and bp == 0:
+            y = packets[0] ^ code.hash_vec(t, self._known(n, t, j0, first, pre, None))
+            u = _solve_bits(self._steady(code, t), y, t)
+            return self.assemble([u.reshape(n, n0)], [], (pre, 1))
 
-        zw = [n0] * L + [self.widths[W + k] for k in range(1, bp + 1)]
-        zoffs = [0, *accumulate(zw)]
-        zdim = n * zoffs[-1]
-
-        rows = code.packet_bits
-        # the stacked coefficient matrix is fixed by the code and the key;
-        # only the right-hand side (which folds in ``pre``) changes between
-        # decodes, so the elimination is kept and a repeat costs one product
+        # the coefficient matrices are fixed by the code and the key; only the
+        # right-hand side (which folds in ``pre``) changes between decodes
         solver = self._solvers.get((t, bp))
-        m_parts = [] if solver is None else None
-        rhs_parts = []
-        for i, tau in enumerate(range(first, t + 1)):
-            base = np.zeros((n, self.r0), np.uint8)
-            for k in range(1, B + 1):
-                if self.part_widths[k] == 0:
-                    continue
-                b = tau - k  # time whose innovation feeds this part
-                if b < j0:
-                    src = pre[k - (tau - j0 + 1)]
-                    base[:, self.offs[k] : self.offs[k + 1]] = gf2.mul(
-                        src, self.prod(W + k, k - (tau - j0 + 1)).T
-                    )
-            rhs_parts.append(packets[i] ^ code.hash_vec(tau, base))
-            if m_parts is None:
-                continue
-            h3 = code.matrix(tau).reshape(rows, n, self.r0)
-            acc = np.zeros((rows, zdim), np.uint8)
-            acc[:, n * zoffs[i] : n * zoffs[i + 1]] ^= h3[:, :, :n0].reshape(rows, n * n0)
-            for k in range(1, B + 1):
-                if self.part_widths[k] == 0:
-                    continue
-                sl = slice(self.offs[k], self.offs[k + 1])
-                b = tau - k
-                if b >= first:
-                    blk = b - first
-                    coef = self.prod(W + k, 0)
-                elif b >= j0:
-                    blk = L + (first - b) - 1
-                    coef = self.prod(W + k, W + first - b)
-                else:
-                    continue
-                contrib = gf2.mul(h3[:, :, sl], coef)
-                acc[:, n * zoffs[blk] : n * zoffs[blk + 1]] ^= contrib.reshape(rows, -1)
-            m_parts.append(acc)
         if solver is None:
-            solver = gf2.PrefactoredSolver(
-                gf2.BitMatrix.from_bits(np.concatenate(m_parts))
-            )
+            solver = self._compose(code, first, t, bp) or self._stack(code, first, t, bp)
             self._solvers[t, bp] = solver
+        if isinstance(solver, _Composed):
+            innov, checks = [], []
+            for tau, packet in zip(range(first, t + 1), packets):
+                y = gf2.BitVector.from_bits(
+                    packet ^ code.hash_vec(tau, self._known(n, tau, j0, first, pre, innov))
+                )
+                z = self._steady(code, tau).ops.mul_vec(y).to_bits()
+                innov.append(z[: n * n0].reshape(n, n0))
+                checks.append(z[n * n0 :])
+            deep = _solve_bits(solver.reduced, np.concatenate(checks), t)
+            lifted = solver.lift.mul_vec(gf2.BitVector.from_bits(deep)).to_bits()
+            innov = np.concatenate(innov).reshape(-1) ^ lifted
+        else:
+            rhs = [
+                packet ^ code.hash_vec(tau, self._known(n, tau, j0, first, pre, None))
+                for tau, packet in zip(range(first, t + 1), packets)
+            ]
+            z = _solve_bits(solver, np.concatenate(rhs), t)
+            innov, deep = z[: L * n * n0], z[L * n * n0 :]
+        dw = [self.widths[self.W + m] for m in range(1, bp + 1)]
+        doffs = [0, *accumulate(n * w for w in dw)]
+        return self.assemble(
+            list(innov.reshape(L, n, n0)),
+            [deep[doffs[m] : doffs[m + 1]].reshape(n, dw[m]) for m in range(bp)],
+            (pre, t - j0 + 1),
+        )
 
-        z = _solve_bits(solver, np.concatenate(rhs_parts), t)
-        blocks = [
-            z[n * zoffs[b] : n * zoffs[b + 1]].reshape(n, zw[b]) for b in range(len(zw))
-        ]
-        return self.assemble(blocks[:L], blocks[L:], (pre, t - j0 + 1))
+    def _known(self, n, tau, j0, first, pre, innov) -> np.ndarray:
+        """The (n, r0) codeword of time tau with its known parts filled in:
+        a part fed by a time before j0 comes from ``pre``, one fed by a
+        window time b >= first from ``innov[b - first]`` (unless ``innov``
+        is None); the innovation part and the parts fed by erased times
+        stay zero."""
+        W = self.W
+        base = np.zeros((n, self.r0), np.uint8)
+        for k in range(1, self.B + 1):
+            if self.part_widths[k] == 0:
+                continue
+            b = tau - k  # time whose innovation feeds this part
+            if b < j0:
+                lag = tau - j0 + 1  # pre is the symbol at j0-1
+                src, lo = pre[k - lag], k - lag
+            elif b >= first and innov is not None:
+                src, lo = innov[b - first], 0
+            else:
+                continue
+            base[:, self.offs[k] : self.offs[k + 1]] = gf2.mul(src, self.prod(W + k, lo).T)
+        return base
+
+    def _reads(self, code: BinCode, tau: int, first: int, j0: int):
+        """Packet tau's hash columns on each unknown it reads, as pairs
+        (b, bits): b >= first reads the innovation of time b (b = tau is its
+        own), an erased b < first the deep part that b's innovation became,
+        layer W + first - b of the deadline symbol; bits is a
+        (packet_bits, n * width) 0/1 array."""
+        n, W, rows = code.n, self.W, code.packet_bits
+        h3 = code.matrix(tau).reshape(rows, n, self.r0)
+        yield tau, h3[:, :, : self.widths[0]].reshape(rows, -1)
+        for k in range(1, self.B + 1):
+            if self.part_widths[k] == 0:
+                continue
+            b = tau - k
+            if b >= first:
+                lo = 0
+            elif b >= j0:
+                lo = W + first - b
+            else:
+                continue
+            cols = h3[:, :, self.offs[k] : self.offs[k + 1]]
+            yield b, gf2.mul(cols, self.prod(W + k, lo)).reshape(rows, -1)
+
+    def _steady(self, code: BinCode, tau: int) -> gf2.PrefactoredSolver:
+        """The cached solver of key (tau, 0), over the innovation columns
+        H0_tau of the time-tau hash."""
+        got = self._solvers.get((tau, 0))
+        if got is None:
+            got = self._solvers[tau, 0] = self._stack(code, tau, tau, 0)
+        return got
+
+    def _stack(self, code: BinCode, first: int, t: int, bp: int) -> gf2.PrefactoredSolver:
+        """One solver over the stacked system of the packets first..t after
+        bp erasures; unknown blocks: the L innovations in time order, then
+        the deep parts of times first-1, first-2, ..."""
+        n, L = code.n, t - first + 1
+        zw = [self.widths[0]] * L + [self.widths[self.W + m] for m in range(1, bp + 1)]
+        zoffs = [0, *accumulate(n * w for w in zw)]
+        blocks = []
+        for tau in range(first, t + 1):
+            acc = np.zeros((code.packet_bits, zoffs[-1]), np.uint8)
+            for b, bits in self._reads(code, tau, first, first - bp):
+                i = b - first if b >= first else L + first - b - 1
+                acc[:, zoffs[i] : zoffs[i + 1]] ^= bits
+            blocks.append(acc)
+        return gf2.PrefactoredSolver(gf2.BitMatrix.from_bits(np.concatenate(blocks)))
+
+    def _compose(self, code: BinCode, first: int, t: int, bp: int) -> _Composed | None:
+        """The window of key (t, bp) reduced to its deep parts d, or None
+        when some time's H0_tau lacks full column rank.
+
+        Packet tau reads its own innovation only through H0_tau, which the
+        steady solver of tau factors into a solve map S and a check map C.
+        Substituting forward from the first time, with reads_tau the hash
+        columns packet tau puts on d directly and through the earlier
+        innovations: u_tau = a_tau + U_tau d with U_tau = S reads_tau, and
+        the packet holds exactly when (C reads_tau) d = C y_tau, where y_tau
+        is the packet with every known part and a_b folded in.  Each u_tau
+        is a function of d, so the stacked system and the reduced one share
+        their rank deficit and their consistency, hence every decoded bit
+        and every failure message.
+        """
+        n = code.n
+        doffs = [0, *accumulate(n * self.widths[self.W + m] for m in range(1, bp + 1))]
+        lifts, checks = [], []
+        for tau in range(first, t + 1):
+            steady = self._steady(code, tau)
+            if steady.rank < steady.cols:
+                return None
+            reads = np.zeros((code.packet_bits, doffs[-1]), np.uint8)
+            for b, bits in self._reads(code, tau, first, first - bp):
+                if b == tau:
+                    continue
+                if b >= first:
+                    reads ^= gf2.mul(bits, lifts[b - first])
+                else:
+                    m = first - b
+                    reads[:, doffs[m - 1] : doffs[m]] ^= bits
+            moved = gf2.mul(steady.ops.to_bits(), reads)
+            lifts.append(moved[: steady.cols])
+            checks.append(moved[steady.cols :])
+        return _Composed(
+            gf2.PrefactoredSolver(gf2.BitMatrix.from_bits(np.concatenate(checks))),
+            gf2.BitMatrix.from_bits(np.concatenate(lifts)),
+        )
 
     def assemble(
         self,
@@ -196,6 +301,17 @@ class _Codec:
                 layers[j] = gf2.mul(src[j - delta], self.prod(j, j - delta).T)
         assert all(l is not None for l in layers), "missing reconstruction dependency"
         return layers
+
+
+@dataclass(frozen=True)
+class _Composed:
+    """A recovery window solved through the steady solvers of its times:
+    ``reduced`` solves the stacked check equations for the deep parts d,
+    and ``lift`` (rows: the window's innovation bits in time order) adds
+    each innovation's share of d to its steady solve."""
+
+    reduced: gf2.PrefactoredSolver
+    lift: gf2.BitMatrix
 
 
 def _solve_bits(solver: gf2.PrefactoredSolver, rhs: np.ndarray, t: int) -> np.ndarray:
@@ -392,7 +508,7 @@ class DecoderState:
 
     In steady mode ``last_known`` holds the full symbol at ``time - 1``.
     During recovery it freezes at the pre-burst symbol while packets
-    accumulate in ``buffered``; the stacked solve fires once W+1 of
+    accumulate in ``buffered``; the window solve fires once W+1 of
     them have arrived.
     """
 

@@ -280,8 +280,10 @@ def streaming_sw_experiment(
     are genie-aided (true side info) so each counts an independent
     threshold event.
     """
-    if B < 0 or W < 0 or T < 0 or trials < 1:
+    if B < 0 or W < 0 or T < 0:
         raise InvalidInput("nonnegative design parameters required")
+    if trials < 1:
+        raise InvalidInput(f"trials must be positive, got {trials}")
     if horizon is None:
         horizon = B + max(W, T) + 5
     positions = horizon - B - max(W, T)

@@ -364,8 +364,11 @@ def test_negative_seed_is_an_input_error(argv, name, tmp_path, capsys):
         (["simulate-det", "--T", "0"], "T"),
         (["simulate-det", "--jobs", "-2"], "jobs"),
         (["sweep", "--flip", "0.25", "--jobs", "0"], "jobs"),
+        (["oracle", "--flip", "0.25", "--trials", "0"], "trials"),
+        (["sweep", "--flip", "0.25", "--trials", "0"], "trials"),
     ],
-    ids=["det-trials", "det-T-negative", "det-T-zero", "det-jobs", "sweep-jobs"],
+    ids=["det-trials", "det-T-negative", "det-T-zero", "det-jobs", "sweep-jobs",
+         "oracle-trials", "sweep-trials"],
 )
 def test_nonpositive_count_is_an_input_error(argv, name, tmp_path, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -376,6 +379,15 @@ def test_nonpositive_count_is_an_input_error(argv, name, tmp_path, capsys):
     code, out, err = run_cli(argv[:-2] + ["--config", str(cfg)], capsys)
     assert code == 3 and out == ""
     assert err.startswith(f"error: {name}: expected a positive integer")
+
+
+@pytest.mark.parametrize("mode", ["ideal", "binned"])
+def test_negative_delta_is_an_input_error_in_both_modes(mode, capsys):
+    # a negative delta puts the packet below the rate floor
+    argv = ["simulate-gaussian", "--delta", "-5", "--n", "8", "--T", "4", "--mode", mode]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: delta must be nonnegative")
 
 
 @pytest.mark.parametrize(

@@ -280,7 +280,7 @@ def test_pattern_violations():
 
 
 def test_one_code_serves_specs_with_equal_widths():
-    # the stacked window solver depends on the layer maps, not only on the
+    # the window solver depends on the layer maps, not only on the
     # widths, so a code shared by two such specs must keep one per spec
     specs = [
         sources.DiagonalSourceSpec((3, 2, 1), (bm([[1, 0, 0], [0, 1, 0]]), bm([[1, 0]]))),
@@ -342,6 +342,117 @@ def test_dropped_code_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------- window composition
+
+
+def deep_spec() -> sources.DiagonalSourceSpec:
+    """The (3, 2, 1) source of the streaming acceptance gate."""
+    return sources.DiagonalSourceSpec((3, 2, 1), (bm([[1, 0, 1], [0, 1, 1]]), bm([[1, 1]])))
+
+
+def decode_or_failure(trace, spec, B, W, code, pattern, flip=None):
+    """Decoded symbols as bytes (None for skip markers), or the
+    DecodeFailure text; ``flip`` names a packet whose first bit is flipped."""
+    stream = prospicient.encode(trace, spec, B, W, code).with_erasures(pattern)
+    if flip is not None and stream.packets[flip] is not None:
+        stream.packets[flip] = stream.packets[flip].copy()
+        stream.packets[flip][0] ^= 1
+    try:
+        out = prospicient.decode_stream(stream, code, symbol_at(trace, -1))
+    except DecodeFailure as exc:
+        return str(exc)
+    return [None if o is None else tuple(layer.tobytes() for layer in o) for o in out]
+
+
+def window_solvers(code, spec, B, W) -> dict:
+    return {key: s for key, s in code.codec(spec, B, W)._solvers.items() if key[1]}
+
+
+def test_composed_windows_match_the_stacked_solve(monkeypatch):
+    # seeded random cases, a few of them with a flipped bit inside the
+    # recovery window; small delta makes both failure kinds common
+    rng = np.random.default_rng(40)
+    T = 10
+    cases = []
+    for _ in range(150):
+        B, W = int(rng.integers(1, 3)), int(rng.integers(0, 3))
+        spec = sources.random_diagonal_spec(rng, K=B + W, max_width=3)
+        n, delta = int(rng.integers(1, 9)), int(rng.integers(0, 4))
+        blen = int(rng.integers(1, B + 1))
+        start = int(rng.integers(0, T - blen - W))
+        flip = start + blen + int(rng.integers(0, W + 1)) if rng.random() < 0.3 else None
+        cases.append((spec, B, W, n, delta, int(rng.integers(1 << 16)), start, blen, flip))
+
+    def run_all():
+        outs, kinds = [], set()
+        for spec, B, W, n, delta, seed, start, blen, flip in cases:
+            code = prospicient.design_bincode(spec, B, W, n, delta=delta, seed=seed)
+            trace = sources.gen_diagonal(spec, n, T, seed=seed)
+            pattern = channel.single_burst(start, blen, T)
+            outs.append(decode_or_failure(trace, spec, B, W, code, pattern, flip))
+            kinds.update(type(s) for s in window_solvers(code, spec, B, W).values())
+        return outs, kinds
+
+    composed, kinds = run_all()
+    assert prospicient._Composed in kinds
+    monkeypatch.setattr(prospicient._Codec, "_compose", lambda *args: None)
+    stacked, kinds = run_all()
+    assert kinds == {gf2.PrefactoredSolver}
+    assert composed == stacked
+    # both failure kinds were reached at a recovery deadline
+    deadlines = [
+        f"time {start + blen + W}: " for _, _, W, _, _, _, start, blen, _ in cases
+    ]
+    for kind in ("underdetermined", "inconsistent system"):
+        assert any(out == d + kind for out, d in zip(composed, deadlines)), kind
+
+
+def test_rank_deficient_steady_block_falls_back_to_the_stacked_solve(monkeypatch):
+    # n=4, delta=1: a packet has 15 bits for 12 innovation bits, so H0_t is
+    # rank deficient at a fair share of times; the burst at 2 opens the
+    # window 3..4, whose key (4, 1) cannot be composed when H0_3 is deficient
+    spec, n, T = deep_spec(), 4, 6
+    pattern = channel.single_burst(2, 1, T)
+
+    def full_rank(code, t):
+        h0 = code.matrix(t).reshape(code.packet_bits, n, 4)[:, :, :3]
+        return gf2.rank(gf2.BitMatrix.from_bits(h0.reshape(code.packet_bits, -1))) == 3 * n
+
+    outcomes = set()
+    for seed in range(150):
+        code = prospicient.design_bincode(spec, 1, 1, n, delta=1, seed=seed)
+        # only H0_3 deficient, so every steady step decodes
+        if [full_rank(code, t) for t in range(T)] != [True] * 3 + [False] + [True] * 2:
+            continue
+        trace = sources.gen_diagonal(spec, n, T, seed=seed)
+        got = decode_or_failure(trace, spec, 1, 1, code, pattern)
+        assert isinstance(window_solvers(code, spec, 1, 1)[4, 1], gf2.PrefactoredSolver)
+        with monkeypatch.context() as m:
+            m.setattr(prospicient._Codec, "_compose", lambda *args: None)
+            code = prospicient.design_bincode(spec, 1, 1, n, delta=1, seed=seed)
+            assert decode_or_failure(trace, spec, 1, 1, code, pattern) == got
+        outcomes.add(got if isinstance(got, str) else "decoded")
+    # the stacked solve pins H0_3's kernel through packet 4 in some codes
+    assert {"decoded", "time 4: underdetermined"} <= outcomes
+
+
+def test_composed_windows_cache_a_tenth_of_the_stacked_bytes():
+    spec, n, T = deep_spec(), 64, 16
+    code = prospicient.design_bincode(spec, 1, 1, n, seed=3)
+    trace = sources.gen_diagonal(spec, n, T, seed=41)
+    for j in range(T):
+        out = run_decode(trace, spec, 1, 1, code, channel.single_burst(j, 1, T))
+        check_outputs(trace, out, window=range(j, j + 2))
+    windows = window_solvers(code, spec, 1, 1)
+    assert len(windows) == T - 2
+    assert all(isinstance(s, prospicient._Composed) for s in windows.values())
+    held = sum(s.reduced.ops.words.nbytes + s.lift.words.nbytes for s in windows.values())
+    # a stacked solver reduces [A | I]: 2 packets over 2 innovations and 1 deep part
+    rows, cols = 2 * code.packet_bits, n * (3 + 3 + 1)
+    stacked = len(windows) * rows * 8 * ((cols + rows + 63) // 64)
+    assert held < stacked / 10
 
 
 # ----------------------------------------------------- symbol reconstruction
