@@ -7,7 +7,12 @@ significant bit first.  Everything rests on two routines:
   every layer-map product of the codec go through it.
 * ``_reduce``, one in-place Gauss-Jordan pass over the packed rows: each
   pivot is XORed into every other row holding its column, above and below
-  alike.  :func:`rank`, :func:`rref`, :func:`solve`, :func:`solve_unique`,
+  alike.  It runs one 64-column stripe (one word) at a time, after M4RI: a
+  column loop over two 1-D arrays (each row's stripe word and its mask of
+  the stripe's pivot rows absorbed so far) picks the pivots, then up to
+  eight 256-entry XOR tables over the stripe's pivot rows apply all of the
+  stripe's row operations to the words right of it in one pass.
+  :func:`rank`, :func:`rref`, :func:`solve`, :func:`solve_unique`,
   :func:`invert`, :func:`independent_rows` and :class:`PrefactoredSolver`
   are thin front-ends over it.
 """
@@ -33,6 +38,8 @@ __all__ = [
 ]
 
 _ONE = np.uint64(1)
+# _BITS[b] is the word with only bit b set
+_BITS = _ONE << np.arange(64, dtype=np.uint64)
 # multiply-adds at which a float32 BLAS product overtakes the uint8 loop
 _BLAS_MIN_OPS = 1 << 12
 # float32 holds every integer below this, so shorter dot products are exact
@@ -103,8 +110,8 @@ class BitMatrix:
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         m = cls(n, n)
-        for i in range(n):
-            m.words[i, i >> 6] = _ONE << np.uint64(i & 63)
+        i = np.arange(n)
+        m.words[i, i >> 6] = _BITS[i & 63]
         return m
 
     @classmethod
@@ -114,12 +121,6 @@ class BitMatrix:
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array of bits")
         return cls(arr.shape[0], arr.shape[1], _pack_bits(arr))
-
-    @classmethod
-    def random(cls, rows: int, cols: int, rng: np.random.Generator) -> "BitMatrix":
-        if rows == 0 or cols == 0:
-            return cls(rows, cols)
-        return cls.from_bits(rng.integers(0, 2, (rows, cols), dtype=np.uint8))
 
     # -- inspection -----------------------------------------------------
 
@@ -151,11 +152,6 @@ class BitMatrix:
 
     # -- algebra ---------------------------------------------------------
 
-    def __xor__(self, other: "BitMatrix") -> "BitMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return BitMatrix(self.rows, self.cols, self.words ^ other.words)
-
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
@@ -176,10 +172,6 @@ class BitMatrix:
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix.from_bits(self.to_bits().T)
-
-    def take_rows(self, idx) -> "BitMatrix":
-        idx = np.asarray(idx, dtype=np.int64)
-        return BitMatrix(len(idx), self.cols, self.words[idx].copy())
 
     # -- serialization ----------------------------------------------------
 
@@ -243,54 +235,93 @@ class BitVector:
 # ---------------------------------------------------------------------------
 
 
-def _reduce(words: np.ndarray, n_cols: int, max_cols: int | None = None):
-    """In-place Gauss-Jordan reduction, pivots taken in the first ``max_cols``
-    columns.
+def _reduce(words: np.ndarray, n_cols: int):
+    """In-place Gauss-Jordan reduction with pivots taken in the first
+    ``n_cols`` columns, one 64-column stripe (one word) at a time.
 
-    Each column's bit is scanned once over all rows; the first still-free
-    row holding it becomes the pivot and is XORed into every other row that
-    holds it.  A free row is zero left of its pivot column, so the XOR starts
-    at the pivot's word.  On return the first ``rank`` rows hold the pivot
-    rows in pivot order.  Returns (rank, pivot_columns).
+    Column loop: within a stripe only two 1-D arrays change, each row's
+    stripe word and ``dep``, a 64-bit mask of the stripe's pivot rows the
+    row has absorbed.  For each column the first still-free row holding its
+    bit becomes the pivot and is XORed into every other row holding it,
+    above and below alike.  A free row is zero left of the current column,
+    so the words left of the stripe never change.
+
+    Table pass: every row now equals its value at the stripe's start plus
+    the raw pivot rows its mask names.  Up to eight 256-entry XOR tables
+    over the stripe's raw pivot rows, one per byte of the mask, apply all
+    of those row operations to the words right of the stripe in one pass
+    (M4RI: Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).
+
+    On return the first ``rank`` rows hold the pivot rows in pivot order,
+    the free rows follow in their original order.  Returns
+    (rank, pivot_columns).
     """
     m = words.shape[0]
-    if max_cols is None:
-        max_cols = n_cols
-    free = np.ones(m, bool)
+    free = np.ones(m, np.uint64)  # 1 until the row is a pivot; masks ``hit``
     pivot_rows: list[int] = []
     pivot_cols: list[int] = []
-    for c in range(max_cols):
+    for s in range((n_cols + 63) >> 6):
         if len(pivot_rows) == m:
             break
-        wi = c >> 6
-        hits = np.nonzero((words[:, wi] >> np.uint64(c & 63)) & _ONE)[0]
-        candidates = hits[free[hits]]
-        if candidates.size == 0:
-            continue
-        p = int(candidates[0])
-        others = hits[hits != p]
-        if others.size:
-            words[others, wi:] ^= words[p, wi:]
-        free[p] = False
-        pivot_rows.append(p)
-        pivot_cols.append(c)
-    words[:] = words[pivot_rows + np.nonzero(free)[0].tolist()]
+        col = words[:, s].copy()
+        dep = np.zeros(m, np.uint64)
+        prows: list[int] = []
+        for b in range(min(64, n_cols - (s << 6))):
+            hit = (col >> np.uint64(b)) & _ONE
+            cand = hit & free
+            p = int(cand.argmax())
+            if not cand[p]:
+                continue
+            hit[p] = 0
+            col ^= hit * col[p]
+            dep ^= hit * (dep[p] ^ _BITS[len(prows)])
+            free[p] = 0
+            prows.append(p)
+            pivot_cols.append((s << 6) + b)
+            if len(pivot_rows) + len(prows) == m:
+                break
+        words[:, s] = col
+        trail = words[:, s + 1 :]
+        if prows and trail.shape[1]:
+            trail ^= _table_xor(trail[prows], dep)
+        pivot_rows += prows
+    words[:] = words[pivot_rows + np.flatnonzero(free).tolist()]
     return len(pivot_rows), pivot_cols
 
 
-def _reduce_augmented(a: BitMatrix, rhs: np.ndarray):
-    """Reduce ``[A | rhs]`` with pivots in A's columns only.
+def _table_xor(raw: np.ndarray, dep: np.ndarray) -> np.ndarray:
+    """Row i of the result is the XOR of the rows of ``raw`` that the bits
+    of ``dep[i]`` name, looked up one mask byte at a time in 256-entry
+    tables of all combinations of eight rows."""
+    n_tab = (raw.shape[0] + 7) >> 3
+    padded = np.zeros((n_tab * 8, raw.shape[1]), np.uint64)
+    padded[: raw.shape[0]] = raw
+    padded = padded.reshape(n_tab, 8, -1)
+    tables = np.zeros((n_tab, 256, raw.shape[1]), np.uint64)
+    for j in range(8):
+        np.bitwise_xor(
+            tables[:, : 1 << j], padded[:, j, None], out=tables[:, 1 << j : 2 << j]
+        )
+    mask_bytes = dep.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    out = np.take(tables[0], mask_bytes[:, 0], axis=0)
+    for t in range(1, n_tab):
+        out ^= np.take(tables[t], mask_bytes[:, t], axis=0)
+    return out
 
-    Returns (rank, pivots, reduced rhs bits): the first ``rank`` rows of the
-    rhs part belong to the pivot rows, the rest must vanish for A X = rhs to
-    be consistent.
+
+def _reduce_augmented(a: BitMatrix, rhs: BitMatrix):
+    """Reduce the packed ``[A | rhs]``, rhs starting at the word after A's
+    last, with pivots in A's columns only.
+
+    Returns (rank, pivots, reduced rhs words): the first ``rank`` rows of
+    the rhs part belong to the pivot rows, the rest must vanish for
+    A X = rhs to be consistent.
     """
-    if a.rows != rhs.shape[0]:
+    if a.rows != rhs.rows:
         raise ValueError("row count mismatch")
-    cols = a.cols + rhs.shape[1]
-    w = _pack_bits(np.concatenate([a.to_bits(), rhs], axis=1))
-    r, pivots = _reduce(w, cols, max_cols=a.cols)
-    return r, pivots, _unpack_bits(w, cols)[:, a.cols :]
+    w = np.concatenate([a.words, rhs.words], axis=1)
+    r, pivots = _reduce(w, a.cols)
+    return r, pivots, w[:, a.words.shape[1] :]
 
 
 def rank(m: BitMatrix) -> int:
@@ -312,14 +343,14 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
 
 
 def _solve(a: BitMatrix, b: BitMatrix, unique: bool) -> BitMatrix:
-    r, pivots, rhs = _reduce_augmented(a, b.to_bits())
+    r, pivots, rhs = _reduce_augmented(a, b)
     if unique and r < a.cols:
         raise ValueError("underdetermined")
     if rhs[r:].any():
         raise ValueError("inconsistent system")
-    x = np.zeros((a.cols, b.cols), np.uint8)
-    x[np.asarray(pivots, np.intp)] = rhs[:r]
-    return BitMatrix.from_bits(x)
+    x = BitMatrix(a.cols, b.cols)
+    x.words[pivots] = rhs[:r]
+    return x
 
 
 def solve(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -364,8 +395,9 @@ def invert(m: BitMatrix) -> BitMatrix:
 class PrefactoredSolver:
     """Reusable unique-solution solver for a fixed coefficient matrix.
 
-    Reducing ``[A | I]`` once (the same Gauss-Jordan pass as
-    :func:`solve`) records the row operations ``ops``, a rows x rows map:
+    Reducing the packed ``[A | I]`` once (the same Gauss-Jordan pass as
+    :func:`solve`, with I from the word after A's last) records the row
+    operations ``ops``, I's word slice, a rows x rows map:
     its first ``rank`` rows, beside A's pivot rows, form the solve map S
     (x = S b when A has full column rank), the rows below the rank form the
     residual map C (C b == 0 exactly when the system is consistent).  Every
@@ -379,9 +411,9 @@ class PrefactoredSolver:
 
     def __init__(self, a: BitMatrix) -> None:
         self.rows, self.cols = a.rows, a.cols
-        r, _, ops = _reduce_augmented(a, np.eye(a.rows, dtype=np.uint8))
+        r, _, ops = _reduce_augmented(a, BitMatrix.identity(a.rows))
         self.rank = r
-        self.ops = BitMatrix.from_bits(ops)
+        self.ops = BitMatrix(a.rows, a.rows, np.ascontiguousarray(ops))
 
     def solve_unique(self, b) -> np.ndarray:
         """Solve A x = b for one right-hand side.

@@ -447,6 +447,8 @@ def design_bincode(
     ``delta`` puts the packet below the information threshold and is
     refused.
     """
+    if delta < 0:
+        raise InvalidInput(f"delta must be nonnegative, got {delta}")
     r0 = _Codec(spec, B, W).r0
     need = math.ceil(rates.diagonal_rate(spec.widths, B, W) * n)
     cap = n * r0
@@ -573,6 +575,8 @@ def decode_step(
     arr = np.asarray(packet, np.uint8)
     if arr.shape != (bincode.packet_bits,):
         raise InvalidInput("packet size does not match the bin code")
+    if int(arr.max(initial=0)) > 1:
+        raise InvalidInput("packet entries must be 0 or 1")
 
     if state.mode == "steady":
         layers = codec.solve_window(bincode, t, t, [arr], state.last_known)

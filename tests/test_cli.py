@@ -390,6 +390,12 @@ def test_negative_delta_is_an_input_error_in_both_modes(mode, capsys):
     assert err.startswith("error: delta must be nonnegative")
 
 
+def test_simulate_det_negative_delta_names_delta(capsys):
+    code, out, err = run_cli(["simulate-det", "--delta", "-1"], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: delta must be nonnegative, got -1\n"
+
+
 @pytest.mark.parametrize(
     "chain, problem",
     [

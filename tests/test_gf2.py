@@ -35,6 +35,31 @@ def low_rank_bits(rng, rows: int, cols: int, rank: int) -> np.ndarray:
     return gf2.mul(left, rng.integers(0, 2, (rank, cols), dtype=np.uint8))
 
 
+def reference_reduce(words: np.ndarray, n_cols: int) -> tuple[int, list[int]]:
+    """The per-pivot Gauss-Jordan loop ``gf2._reduce`` must reproduce word
+    for word: each pivot row is XORed across the full width into every
+    other row holding its column."""
+    m = words.shape[0]
+    free = np.ones(m, bool)
+    pivot_rows: list[int] = []
+    pivot_cols: list[int] = []
+    for c in range(n_cols):
+        if len(pivot_rows) == m:
+            break
+        hits = np.nonzero((words[:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1))[0]
+        candidates = hits[free[hits]]
+        if candidates.size == 0:
+            continue
+        p = int(candidates[0])
+        others = hits[hits != p]
+        words[others] ^= words[p]
+        free[p] = False
+        pivot_rows.append(p)
+        pivot_cols.append(c)
+    words[:] = words[pivot_rows + np.nonzero(free)[0].tolist()]
+    return len(pivot_rows), pivot_cols
+
+
 def test_rank_and_rref_match_dense_reference():
     rng = np.random.default_rng(42)
     for trial in range(230):
@@ -63,6 +88,55 @@ def test_rank_and_rref_match_dense_reference():
         assert np.array_equal(m.to_bits(), bits)
 
 
+def kernel_cases():
+    """Seeded (bits, n_cols) pairs for the elimination kernel: column counts
+    on both sides of byte and stripe edges, rank-deficient, zero and
+    duplicate rows, more than 64 pivots, and pivots limited to a prefix."""
+    rng = np.random.default_rng(2024)
+    for cols in (1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200, 300):
+        for rows in (0, 1, 5, 40, 70, 150):
+            yield rng.integers(0, 2, (rows, cols), dtype=np.uint8), cols
+            if rows:
+                yield low_rank_bits(rng, rows, cols, int(rng.integers(1, min(rows, cols) + 1))), cols
+                bits = (rng.random((rows, cols)) < 0.3).astype(np.uint8)
+                bits[rng.integers(0, rows, max(1, rows // 5))] = 0
+                bits[rng.integers(0, rows, max(1, rows // 5))] = bits[0]
+                yield bits, cols
+            yield rng.integers(0, 2, (rows, cols), dtype=np.uint8), int(rng.integers(0, cols + 1))
+
+
+def test_reduce_matches_the_per_pivot_loop_word_for_word():
+    n_wide = 0
+    for trial, (bits, n_cols) in enumerate(kernel_cases()):
+        words = gf2.BitMatrix.from_bits(bits).words
+        want_words = words.copy()
+        want = reference_reduce(want_words, n_cols)
+        got = gf2._reduce(words, n_cols)
+        assert got == want, trial
+        # pivot rows, free rows and every bit right of n_cols alike
+        assert np.array_equal(words, want_words), trial
+        n_wide += want[0] > 64
+    assert n_wide >= 10
+
+
+def test_prefactored_ops_are_the_reduced_identity_half():
+    rng = np.random.default_rng(8)
+    shapes = [(1, 1), (9, 7), (70, 65), (130, 64), (150, 100), (184, 144), (904, 768)]
+    for trial, (rows, cols) in enumerate(shapes):
+        bits = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+        if trial % 2:
+            bits = low_rank_bits(rng, rows, cols, cols // 2 + 1)
+        # the reference packs I right after A's last column, not at a word edge
+        aug = np.concatenate([bits, np.eye(rows, dtype=np.uint8)], axis=1)
+        words = gf2.BitMatrix.from_bits(aug).words
+        r, _ = reference_reduce(words, cols)
+        want = gf2.BitMatrix.from_bits(gf2._unpack_bits(words, cols + rows)[:, cols:])
+        solver = gf2.PrefactoredSolver(gf2.BitMatrix.from_bits(bits))
+        assert solver.rank == r, trial
+        assert solver.ops == want, trial
+        assert solver.ops.words.flags.c_contiguous
+
+
 def test_solve_returns_a_solution_with_free_vars_zero():
     rng = np.random.default_rng(7)
     for trial in range(150):
@@ -81,12 +155,11 @@ def test_solve_inconsistent_raises():
     rng = np.random.default_rng(11)
     for trial in range(60):
         n = int(rng.integers(1, 30))
-        a = gf2.BitMatrix.from_bits(rng.integers(0, 2, (int(rng.integers(1, 30)), n), dtype=np.uint8))
-        b = a @ gf2.BitMatrix.from_bits(rng.integers(0, 2, (n, 1), dtype=np.uint8))
+        ab = rng.integers(0, 2, (int(rng.integers(1, 30)), n), dtype=np.uint8)
+        bb = gf2.mul(ab, rng.integers(0, 2, (n, 1), dtype=np.uint8))
         # duplicate an equation but flip its right-hand side
-        a2 = gf2.vstack([a, a.take_rows([0])])
-        flip = b.take_rows([0]).to_bits() ^ 1
-        b2 = gf2.vstack([b, gf2.BitMatrix.from_bits(flip)])
+        a2 = gf2.BitMatrix.from_bits(np.concatenate([ab, ab[:1]]))
+        b2 = gf2.BitMatrix.from_bits(np.concatenate([bb, bb[:1] ^ 1]))
         with pytest.raises(ValueError, match="inconsistent"):
             gf2.solve(a2, b2)
 
@@ -153,7 +226,6 @@ def test_matmul_mul_vec_transpose_agree_with_dense():
         v = gf2.BitVector.from_bits(vb)
         ref = (ab.astype(np.int64) @ vb.astype(np.int64)) & 1
         assert np.array_equal(a.mul_vec(v).to_bits(), ref.astype(np.uint8))
-        assert np.array_equal((a ^ a).to_bits(), np.zeros_like(ab))
 
 
 def test_json_roundtrip():

@@ -115,7 +115,7 @@ def test_design_bincode_sizing_and_feasibility():
     need = math.ceil(rates.diagonal_rate(spec.widths, B, W) * n)
     assert code.packet_bits == min(need + 8, n * code.r0_bits)
     assert code.r0_bits == spec.widths[0] + spec.widths[2] + spec.widths[3]
-    with pytest.raises(InvalidInput, match="packet_bits"):
+    with pytest.raises(InvalidInput, match="delta must be nonnegative, got -1"):
         prospicient.design_bincode(spec, B, W, n, delta=-1)
     # a huge delta saturates at the raw codeword width (binning disabled)
     full = prospicient.design_bincode(spec, B, W, n, delta=10**6)
@@ -322,6 +322,24 @@ def test_malformed_tail_symbol_is_an_input_error(tail):
     stream = prospicient.encode(trace, spec, 1, 1, code)
     with pytest.raises(InvalidInput, match="tail symbol"):
         prospicient.decode_stream(stream, code, tail(symbol_at(trace, -1)))
+
+
+@pytest.mark.parametrize("one", [2, 3, 255])
+def test_packet_entry_other_than_0_or_1_is_an_input_error(one):
+    spec = sources.DiagonalSourceSpec((3, 2, 1), (bm([[1, 0, 0], [0, 1, 0]]), bm([[1, 0]])))
+    n = 16
+    trace = sources.gen_diagonal(spec, n, 2, seed=26)
+    code = prospicient.design_bincode(spec, 1, 1, n, seed=13)
+    packet = prospicient.encode(trace, spec, 1, 1, code).packets[0]
+    state = prospicient.DecoderState(0, "steady", symbol_at(trace, -1))
+    # the valid packet decodes; the same packet with its 1s written as
+    # another byte is refused before any solve
+    _, layers = prospicient.decode_step(state, packet, spec, 1, 1, code)
+    assert np.array_equal(layers[0], trace.sub[0][0])
+    state = prospicient.DecoderState(0, "steady", symbol_at(trace, -1))
+    with pytest.raises(InvalidInput, match="packet entries must be 0 or 1"):
+        prospicient.decode_step(state, packet * np.uint8(one), spec, 1, 1, code)
+    assert state.time == 0
 
 
 def test_dropped_code_is_freed_without_the_cycle_collector():

@@ -49,7 +49,7 @@ def test_case1_random_full_rank():
     rng = np.random.default_rng(11)
     a = bm([[1, 1], [0, 1]])
     for _ in range(5):
-        b = gf2.BitMatrix.random(2, 2, rng)
+        b = gf2.BitMatrix.from_bits(rng.integers(0, 2, (2, 2), dtype=np.uint8))
         spec = sources.SemiDetSpec(N0=2, Nd=2, A=a, B=b)
         lmap, out = transforms.case1_transform(spec)
         out.validate()
@@ -135,9 +135,10 @@ def test_lb_matches_hand_composed_two_layer_path():
             if gf2.rank(r10) != 2:
                 continue
         r21 = gf2.BitMatrix.from_bits(np.array([[1, 0]], np.uint8))
-        r11 = gf2.BitMatrix.random(2, 2, rng)
-        r12 = gf2.BitMatrix.random(2, 1, rng)
-        r22 = gf2.BitMatrix.random(1, 1, rng)
+        r11b, r12b, r22b = (
+            rng.integers(0, 2, shape, dtype=np.uint8) for shape in ((2, 2), (2, 1), (1, 1))
+        )
+        r11, r12, r22 = (gf2.BitMatrix.from_bits(b) for b in (r11b, r12b, r22b))
         tri = transforms.UpperTriSpec(
             (3, 2, 1),
             {(1, 0): r10, (1, 1): r11, (1, 2): r12, (2, 1): r21, (2, 2): r22},
@@ -149,8 +150,11 @@ def test_lb_matches_hand_composed_two_layer_path():
         d1 = np.eye(6, dtype=np.uint8)
         d1[3:5, 5:6] = x1.to_bits()
         # updated top-row blocks after conjugating with the first step
-        r11t = r11 ^ (x1 @ r21)
-        r12t = r12 ^ (x1 @ r22) ^ (x1 @ r21 @ x1) ^ (r11 @ x1)
+        x1b, r21b = x1.to_bits(), r21.to_bits()
+        r11t = gf2.BitMatrix.from_bits(r11b ^ gf2.mul(x1b, r21b))
+        r12t = gf2.BitMatrix.from_bits(
+            r12b ^ gf2.mul(x1b, r22b) ^ gf2.mul(gf2.mul(x1b, r21b), x1b) ^ gf2.mul(r11b, x1b)
+        )
         # step two: fold the leftovers into the innovation
         x12 = gf2.solve(r10, r11t)
         x22 = gf2.solve(r10, r12t)
