@@ -1,10 +1,11 @@
 """Lookahead streaming codec for layered GF(2) sources.
 
-The encoder is memoryless: at each time it rearranges the current symbol
-into a short codeword — the innovation layer plus, for each burst slot
-k = 1..B, the image of layer k under the layer-to-layer products that
-will matter W+k steps later — and transmits a seeded random linear hash
-of the codeword across all n spatial copies.  The decoder has one
+The encoder is memoryless: each time's codeword is a fixed linear map of
+that time's symbol — the innovation layer plus, for each burst slot
+k = 1..B, layer k pushed through the layer-to-layer products to depth
+W+k — so ``encode`` builds the codewords of the whole trace with one
+product per part, then transmits a seeded random linear hash of each
+time's codeword across all n spatial copies.  The decoder has one
 rule, a joint linear solve over a window of received packets: after a
 burst of B' <= B erasures it buffers W+1 packets and solves for the
 (W+1)·n·N_0 fresh innovation bits plus the n·sum(N_{W+k}) deep-codeword
@@ -89,18 +90,6 @@ class _Codec:
             got = gf2.mul(self._rbits[hi], self.prod(hi - 1, lo))
             self._prods[key] = got
         return got
-
-    def rearrange(self, symbol: Sequence[np.ndarray]) -> CodewordBlock:
-        if len(symbol) != self.spec.K + 1:
-            raise InvalidInput("symbol must have one layer per spec width")
-        layers = [np.asarray(s, np.uint8) for s in symbol]
-        for j, s in enumerate(layers):
-            if s.ndim != 2 or s.shape[1] != self.widths[j]:
-                raise InvalidInput("symbol layer widths do not match the spec")
-        parts = [layers[0]]
-        for k in range(1, self.B + 1):
-            parts.append(gf2.mul(layers[k], self.prod(self.W + k, k).T))
-        return CodewordBlock(tuple(parts))
 
     def solve_window(
         self,
@@ -204,7 +193,7 @@ class _Codec:
         (packet_bits, n * width) 0/1 array."""
         n, W, rows = code.n, self.W, code.packet_bits
         h3 = code.matrix(tau).reshape(rows, n, self.r0)
-        yield tau, h3[:, :, : self.widths[0]].reshape(rows, -1)
+        yield tau, h3[:, :, : self.widths[0]].reshape(rows, n * self.widths[0])
         for k in range(1, self.B + 1):
             if self.part_widths[k] == 0:
                 continue
@@ -216,7 +205,7 @@ class _Codec:
             else:
                 continue
             cols = h3[:, :, self.offs[k] : self.offs[k + 1]]
-            yield b, gf2.mul(cols, self.prod(W + k, lo)).reshape(rows, -1)
+            yield b, gf2.mul(cols, self.prod(W + k, lo)).reshape(rows, n * self.widths[lo])
 
     def _steady(self, code: BinCode, tau: int) -> gf2.PrefactoredSolver:
         """The cached solver of key (tau, 0), over the innovation columns
@@ -285,7 +274,7 @@ class _Codec:
         self,
         innovations: Sequence[np.ndarray],
         deep_parts: Sequence[np.ndarray],
-        anchor: tuple[Sequence[np.ndarray], int] | None,
+        anchor: tuple[Sequence[np.ndarray], int],
     ) -> list[np.ndarray]:
         # a steady step brings one innovation, a recovery window W+1
         K, w = self.spec.K, len(innovations) - 1
@@ -295,10 +284,9 @@ class _Codec:
             layers[j] = gf2.mul(innovations[-1 - j], self.prod(j, 0).T)
         for k, part in enumerate(deep_parts, start=1):
             layers[w + k] = np.asarray(part, np.uint8)
-        if anchor is not None:
-            src, delta = anchor
-            for j in range(w + len(deep_parts) + 1, K + 1):
-                layers[j] = gf2.mul(src[j - delta], self.prod(j, j - delta).T)
+        src, delta = anchor
+        for j in range(w + len(deep_parts) + 1, K + 1):
+            layers[j] = gf2.mul(src[j - delta], self.prod(j, j - delta).T)
         assert all(l is not None for l in layers), "missing reconstruction dependency"
         return layers
 
@@ -320,43 +308,6 @@ def _solve_bits(solver: gf2.PrefactoredSolver, rhs: np.ndarray, t: int) -> np.nd
         return solver.solve_unique(rhs)
     except ValueError as exc:
         raise DecodeFailure(f"time {t}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class CodewordBlock:
-    """One time-step's rearranged codeword: part 0 is the innovation
-    layer verbatim; part k (k = 1..B) is layer k pushed forward to the
-    depth it will occupy when it becomes decodable."""
-
-    parts: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(np.asarray(p, np.uint8) for p in self.parts))
-        if any(p.ndim != 2 or p.shape[0] != self.parts[0].shape[0] for p in self.parts):
-            raise InvalidInput("codeword parts must share the copy dimension")
-
-    @property
-    def n(self) -> int:
-        return self.parts[0].shape[0]
-
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return tuple(p.shape[1] for p in self.parts)
-
-    def vec(self) -> np.ndarray:
-        """(n, total_bits) array; one codeword row per spatial copy."""
-        return np.concatenate(self.parts, axis=1)
-
-
-def rearrange(
-    symbol: Sequence[np.ndarray], spec: DiagonalSourceSpec, B: int, W: int
-) -> CodewordBlock:
-    """Memoryless rearrangement of one symbol into its codeword block.
-
-    ``symbol`` lists the layers at a single time, layer j of shape
-    (n, N_j).  Requires ``spec.K == B + W`` (see sources.normalize_K).
-    """
-    return _Codec(spec, B, W).rearrange(symbol)
 
 
 @dataclass
@@ -467,9 +418,6 @@ class PacketStream:
     spec: DiagonalSourceSpec
     B: int
     W: int
-    n: int
-    packet_bits: int
-    seed: int
     packets: list
 
     @property
@@ -483,25 +431,19 @@ class PacketStream:
 def encode(
     trace, spec: DiagonalSourceSpec, B: int, W: int, bincode: BinCode
 ) -> PacketStream:
-    """Hash each time-step's rearranged codeword into one packet."""
+    """Hash each time-step's codeword into one packet.  Part 0 of the
+    codeword is the innovation layer; part k (k = 1..B) is layer k pushed
+    to depth W+k, one product over the whole trace per part."""
     codec = bincode.codec(spec, B, W)
-    if tuple(trace.widths) != tuple(spec.widths):
-        raise InvalidInput("trace widths do not match the source spec")
-    if trace.n != bincode.n:
-        raise InvalidInput("bin code was sized for a different design point")
-    packets = []
-    for t in range(trace.T):
-        block = codec.rearrange([trace.sub[j][t] for j in range(spec.K + 1)])
-        packets.append(bincode.hash_vec(t, block.vec()))
-    return PacketStream(
-        spec=spec,
-        B=B,
-        W=W,
-        n=trace.n,
-        packet_bits=bincode.packet_bits,
-        seed=bincode.seed,
-        packets=packets,
-    )
+    layers = [np.asarray(a, np.uint8) for a in trace.sub]
+    if [a.shape for a in layers] != [(trace.T, bincode.n, w) for w in spec.widths]:
+        raise InvalidInput("trace layers must be (T, n, N_j) arrays for the spec and code")
+    parts = [layers[0]] + [
+        gf2.mul(layers[k], codec.prod(W + k, k).T) for k in range(1, B + 1)
+    ]
+    words = np.concatenate(parts, axis=2)
+    packets = [bincode.hash_vec(t, words[t]) for t in range(trace.T)]
+    return PacketStream(spec=spec, B=B, W=W, packets=packets)
 
 
 @dataclass
@@ -572,11 +514,13 @@ def decode_step(
         state.time += 1
         return state, None
 
-    arr = np.asarray(packet, np.uint8)
-    if arr.shape != (bincode.packet_bits,):
+    # values are checked before the uint8 cast, which would wrap or truncate them
+    raw = np.asarray(packet)
+    if raw.shape != (bincode.packet_bits,):
         raise InvalidInput("packet size does not match the bin code")
-    if int(arr.max(initial=0)) > 1:
+    if not ((raw == 0) | (raw == 1)).all():
         raise InvalidInput("packet entries must be 0 or 1")
+    arr = np.asarray(raw, np.uint8)
 
     if state.mode == "steady":
         layers = codec.solve_window(bincode, t, t, [arr], state.last_known)
@@ -618,30 +562,3 @@ def decode_stream(stream: PacketStream, bincode: BinCode, tail_symbol) -> list:
         out.append(layers)
     return out
 
-
-def reconstruct_symbol(
-    spec: DiagonalSourceSpec,
-    B: int,
-    W: int,
-    innovations: Sequence[np.ndarray],
-    deep_parts: Sequence[np.ndarray] = (),
-    anchor: tuple[Sequence[np.ndarray], int] | None = None,
-) -> list[np.ndarray]:
-    """Rebuild the full symbol at time i from recovered codeword pieces.
-
-    Args:
-        innovations: the last W+1 innovation layers, times i-W .. i.
-        deep_parts: codeword parts c_{i-W, 1..L}; part k lands verbatim
-            as layer W+k of time i.
-        anchor: (symbol_layers, delta) for layers deeper than W+L, taken
-            from the full symbol at time i-delta.
-
-    Layer j <= W comes from the innovation of time i-j pushed down j
-    steps; with L = B and spec.K == B+W nothing else is needed.
-    """
-    codec = _Codec(spec, B, W)
-    if len(innovations) != W + 1:
-        raise InvalidInput("need exactly W+1 innovation layers")
-    if len(deep_parts) > B:
-        raise InvalidInput("more deep parts than burst slots")
-    return codec.assemble(innovations, deep_parts, anchor)

@@ -96,6 +96,15 @@ def test_simulate_det_no_failures_anywhere(capsys):
     rows = parse_csv(out)
     assert len(rows) == 6  # every burst start at blen 1
     assert all(r["failures"] == "0" and r["mismatches"] == "0" for r in rows)
+    # a source with no innovation bits sends empty packets
+    for widths in ("0", "0,0"):
+        code, out, _ = run_cli(
+            ["simulate-det", "--T", "4", "--n", "8", "--widths", widths], capsys
+        )
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 4
+        assert all(r["failures"] == "0" and r["mismatches"] == "0" for r in rows)
 
 
 def test_simulate_det_jobs_do_not_change_output(capsys):

@@ -1,5 +1,6 @@
-"""Lookahead codec: rearrangement, linear binning, and the two-mode decoder."""
+"""Lookahead codec: encoding, linear binning, and the two-mode decoder."""
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -45,54 +46,6 @@ def check_outputs(trace, out, window=()):
                 assert np.array_equal(out[t][j], trace.sub[j][t]), (t, j)
 
 
-# ---------------------------------------------------------- rearrangement
-
-
-def test_rearrange_w0_parts_are_the_layers():
-    rng = np.random.default_rng(1)
-    spec = sources.random_diagonal_spec(rng, K=2)
-    trace = sources.gen_diagonal(spec, n=5, T=4, seed=7)
-    for t in range(trace.T):
-        block = prospicient.rearrange(symbol_at(trace, t), spec, B=2, W=0)
-        # with no decode delay every product collapses to the identity
-        assert len(block.parts) == 3
-        for k in range(3):
-            assert np.array_equal(block.parts[k], trace.sub[k][t])
-
-
-def test_rearrange_b0_is_the_innovation_alone():
-    rng = np.random.default_rng(2)
-    spec = sources.random_diagonal_spec(rng, K=2)
-    trace = sources.gen_diagonal(spec, n=4, T=3, seed=8)
-    block = prospicient.rearrange(symbol_at(trace, 1), spec, B=0, W=2)
-    assert block.widths == (spec.widths[0],)
-    assert np.array_equal(block.parts[0], trace.sub[0][1])
-
-
-def test_rearrange_unit_chain_carries_previous_innovation():
-    # depth-2 chain of 1-bit layers: the deep part of the codeword at time i
-    # is exactly the innovation from time i-1
-    spec = unit_chain(2)
-    trace = sources.gen_diagonal(spec, n=6, T=10, seed=9)
-    for t in range(trace.T):
-        block = prospicient.rearrange(symbol_at(trace, t), spec, B=1, W=1)
-        assert block.widths == (1, 1)
-        assert np.array_equal(block.parts[0], trace.symbol(t, 0))
-        assert np.array_equal(block.parts[1], trace.symbol(t - 1, 0))
-
-
-def test_rearrange_rejects_bad_layouts():
-    spec = unit_chain(2)
-    good = [np.zeros((3, 1), np.uint8) for _ in range(3)]
-    with pytest.raises(InvalidInput, match="normalize"):
-        prospicient.rearrange(good, spec, B=1, W=0)
-    with pytest.raises(InvalidInput, match="layer"):
-        prospicient.rearrange(good[:2], spec, B=1, W=1)
-    bad = [np.zeros((3, 2), np.uint8)] + good[1:]
-    with pytest.raises(InvalidInput, match="width"):
-        prospicient.rearrange(bad, spec, B=1, W=1)
-
-
 # --------------------------------------------------------------- bin code
 
 
@@ -126,14 +79,43 @@ def test_design_bincode_sizing_and_feasibility():
 
 
 def test_encode_identity_mode_emits_codewords_verbatim():
+    # delta=10**6 disables binning, so each packet is its codeword verbatim
+    deep = sources.random_diagonal_spec(np.random.default_rng(1), K=2)
+    cases = [
+        # W = 0: every product collapses to the identity, the parts are the layers
+        (deep, 2, 0, lambda trace, t: [trace.symbol(t, j) for j in range(3)]),
+        # B = 0: the innovation alone
+        (deep, 0, 2, lambda trace, t: [trace.symbol(t, 0)]),
+        # depth-2 chain of 1-bit identity maps: part 1 is the previous innovation
+        (unit_chain(2), 1, 1, lambda trace, t: [trace.symbol(t, 0), trace.symbol(t - 1, 0)]),
+    ]
+    n, T = 4, 6
+    for spec, B, W, parts in cases:
+        code = prospicient.design_bincode(spec, B, W, n=n, delta=10**6, seed=2)
+        assert code.identity_mode
+        trace = sources.gen_diagonal(spec, n=n, T=T, seed=11)
+        stream = prospicient.encode(trace, spec, B, W, code)
+        for t in range(T):
+            want = np.concatenate(parts(trace, t), axis=1).reshape(-1)
+            assert np.array_equal(stream.packets[t], want), (B, W, t)
+
+
+def test_encode_rejects_bad_layouts():
     spec = unit_chain(2)
-    code = prospicient.design_bincode(spec, 1, 1, n=4, delta=10**6, seed=2)
-    trace = sources.gen_diagonal(spec, n=4, T=6, seed=11)
-    stream = prospicient.encode(trace, spec, 1, 1, code)
-    assert stream.packet_bits == 4 * 2
-    for t in range(6):
-        block = prospicient.rearrange(symbol_at(trace, t), spec, 1, 1)
-        assert np.array_equal(stream.packets[t], block.vec().reshape(-1))
+    n, T = 3, 4
+    trace = sources.gen_diagonal(spec, n, T, seed=10)
+    code = prospicient.design_bincode(spec, 1, 1, n, seed=2)
+    with pytest.raises(InvalidInput, match="normalize"):
+        prospicient.encode(trace, spec, 1, 0, code)
+    bad = {
+        "missing layer": trace.sub[:2],
+        "wider layer": [np.zeros((T, n, 2), np.uint8)] + trace.sub[1:],
+        "fewer copies": [a[:, :2] for a in trace.sub],
+        "fewer times": [a[:-1] for a in trace.sub],
+    }
+    for sub in bad.values():
+        with pytest.raises(InvalidInput, match=r"\(T, n, N_j\)"):
+            prospicient.encode(dataclasses.replace(trace, sub=sub), spec, 1, 1, code)
 
 
 def test_encode_zero_trace_gives_zero_packets():
@@ -324,8 +306,24 @@ def test_malformed_tail_symbol_is_an_input_error(tail):
         prospicient.decode_stream(stream, code, tail(symbol_at(trace, -1)))
 
 
-@pytest.mark.parametrize("one", [2, 3, 255])
-def test_packet_entry_other_than_0_or_1_is_an_input_error(one):
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda p: p * np.uint8(2),
+        lambda p: p * np.uint8(3),
+        lambda p: p * np.uint8(255),
+        # the uint8 cast would truncate these to the valid packet or to zeros,
+        lambda p: p * 1.7,
+        lambda p: p * 0.6,
+        # wrap them mod 256,
+        lambda p: p.astype(np.int64) * 256,
+        lambda p: p.astype(np.int64) * 257,
+        # or overflow
+        lambda p: [256 * int(b) for b in p],
+    ],
+    ids=["2", "3", "255", "float-1.7", "float-0.6", "int64-256", "int64-257", "list-256"],
+)
+def test_packet_entry_other_than_0_or_1_is_an_input_error(bad):
     spec = sources.DiagonalSourceSpec((3, 2, 1), (bm([[1, 0, 0], [0, 1, 0]]), bm([[1, 0]])))
     n = 16
     trace = sources.gen_diagonal(spec, n, 2, seed=26)
@@ -333,12 +331,12 @@ def test_packet_entry_other_than_0_or_1_is_an_input_error(one):
     packet = prospicient.encode(trace, spec, 1, 1, code).packets[0]
     state = prospicient.DecoderState(0, "steady", symbol_at(trace, -1))
     # the valid packet decodes; the same packet with its 1s written as
-    # another byte is refused before any solve
+    # another value is refused before any solve
     _, layers = prospicient.decode_step(state, packet, spec, 1, 1, code)
     assert np.array_equal(layers[0], trace.sub[0][0])
     state = prospicient.DecoderState(0, "steady", symbol_at(trace, -1))
     with pytest.raises(InvalidInput, match="packet entries must be 0 or 1"):
-        prospicient.decode_step(state, packet * np.uint8(one), spec, 1, 1, code)
+        prospicient.decode_step(state, bad(packet), spec, 1, 1, code)
     assert state.time == 0
 
 
@@ -471,42 +469,3 @@ def test_composed_windows_cache_a_tenth_of_the_stacked_bytes():
     rows, cols = 2 * code.packet_bits, n * (3 + 3 + 1)
     stacked = len(windows) * rows * 8 * ((cols + rows + 63) // 64)
     assert held < stacked / 10
-
-
-# ----------------------------------------------------- symbol reconstruction
-
-
-def test_reconstruct_with_w0_is_the_codeword_itself():
-    rng = np.random.default_rng(8)
-    spec = sources.random_diagonal_spec(rng, K=2)
-    trace = sources.gen_diagonal(spec, n=5, T=6, seed=22)
-    i = 3
-    block = prospicient.rearrange(symbol_at(trace, i), spec, B=2, W=0)
-    layers = prospicient.reconstruct_symbol(
-        spec, 2, 0, innovations=[block.parts[0]], deep_parts=block.parts[1:]
-    )
-    for j in range(3):
-        assert np.array_equal(layers[j], trace.sub[j][i])
-
-
-def test_reconstruct_matches_generator_along_steady_chain():
-    rng = np.random.default_rng(9)
-    spec = sources.random_diagonal_spec(rng, K=3, max_width=3)
-    B, W = 2, 1
-    trace = sources.gen_diagonal(spec, n=4, T=10, seed=23)
-    for i in range(W, trace.T):
-        innovations = [trace.symbol(i - W + m, 0) for m in range(W + 1)]
-        donor = prospicient.rearrange(symbol_at(trace, i - W), spec, B, W)
-        layers = prospicient.reconstruct_symbol(
-            spec, B, W, innovations, deep_parts=donor.parts[1:]
-        )
-        for j in range(spec.K + 1):
-            assert np.array_equal(layers[j], trace.symbol(i, j)), (i, j)
-        # anchor route: take the deep layers from an older full symbol
-        layers = prospicient.reconstruct_symbol(
-            spec, B, W, innovations, anchor=(symbol_at(trace, i - W - 1), W + 1)
-        )
-        for j in range(spec.K + 1):
-            assert np.array_equal(layers[j], trace.symbol(i, j)), (i, j)
-    with pytest.raises(InvalidInput, match="W\\+1"):
-        prospicient.reconstruct_symbol(spec, B, W, innovations[:1])
