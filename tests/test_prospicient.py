@@ -78,26 +78,52 @@ def test_design_bincode_sizing_and_feasibility():
 # ----------------------------------------------------------------- encode
 
 
+def identity_packets(spec, B, W, n, T, seed):
+    """Encode a fresh trace with binning disabled (delta=10**6), so each
+    packet is its codeword verbatim: the layout's parts side by side."""
+    code = prospicient.design_bincode(spec, B, W, n=n, delta=10**6, seed=2)
+    assert code.identity_mode
+    trace = sources.gen_diagonal(spec, n=n, T=T, seed=seed)
+    stream = prospicient.encode(trace, spec, B, W, code)
+    for pkt in stream.packets:
+        assert pkt.shape == (code.packet_bits,)
+    return trace, [pkt.reshape(n, -1) for pkt in stream.packets]
+
+
+def test_rearrange_w0_parts_are_the_layers():
+    spec = sources.random_diagonal_spec(np.random.default_rng(1), K=2)
+    trace, words = identity_packets(spec, B=2, W=0, n=5, T=4, seed=7)
+    for t in range(trace.T):
+        # with no decode delay every product collapses to the identity
+        assert np.array_equal(words[t], np.concatenate(symbol_at(trace, t), axis=1))
+
+
+def test_rearrange_b0_is_the_innovation_alone():
+    spec = sources.random_diagonal_spec(np.random.default_rng(2), K=2)
+    trace, words = identity_packets(spec, B=0, W=2, n=4, T=3, seed=8)
+    for t in range(trace.T):
+        assert np.array_equal(words[t], trace.symbol(t, 0))
+
+
+def test_rearrange_unit_chain_carries_previous_innovation():
+    # depth-2 chain of 1-bit layers: the deep part of the codeword at time i
+    # is exactly the innovation from time i-1
+    trace, words = identity_packets(unit_chain(2), B=1, W=1, n=6, T=10, seed=9)
+    for t in range(trace.T):
+        assert words[t].shape == (6, 2)
+        assert np.array_equal(words[t][:, :1], trace.symbol(t, 0))
+        assert np.array_equal(words[t][:, 1:], trace.symbol(t - 1, 0))
+
+
 def test_encode_identity_mode_emits_codewords_verbatim():
-    # delta=10**6 disables binning, so each packet is its codeword verbatim
-    deep = sources.random_diagonal_spec(np.random.default_rng(1), K=2)
-    cases = [
-        # W = 0: every product collapses to the identity, the parts are the layers
-        (deep, 2, 0, lambda trace, t: [trace.symbol(t, j) for j in range(3)]),
-        # B = 0: the innovation alone
-        (deep, 0, 2, lambda trace, t: [trace.symbol(t, 0)]),
-        # depth-2 chain of 1-bit identity maps: part 1 is the previous innovation
-        (unit_chain(2), 1, 1, lambda trace, t: [trace.symbol(t, 0), trace.symbol(t - 1, 0)]),
-    ]
-    n, T = 4, 6
-    for spec, B, W, parts in cases:
-        code = prospicient.design_bincode(spec, B, W, n=n, delta=10**6, seed=2)
-        assert code.identity_mode
-        trace = sources.gen_diagonal(spec, n=n, T=T, seed=11)
-        stream = prospicient.encode(trace, spec, B, W, code)
-        for t in range(T):
-            want = np.concatenate(parts(trace, t), axis=1).reshape(-1)
-            assert np.array_equal(stream.packets[t], want), (B, W, t)
+    spec = unit_chain(2)
+    code = prospicient.design_bincode(spec, 1, 1, n=4, delta=10**6, seed=2)
+    assert code.identity_mode and code.packet_bits == 4 * 2
+    trace = sources.gen_diagonal(spec, n=4, T=6, seed=11)
+    stream = prospicient.encode(trace, spec, 1, 1, code)
+    for t in range(6):
+        want = np.concatenate([trace.symbol(t, 0), trace.symbol(t - 1, 0)], axis=1)
+        assert np.array_equal(stream.packets[t], want.reshape(-1)), t
 
 
 def test_encode_rejects_bad_layouts():
