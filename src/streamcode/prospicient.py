@@ -22,9 +22,15 @@ Everything outside the error-propagation window
 emitted as explicit skip markers.
 
 A BinCode is only the seeded hash, so one code can serve several specs.
+The time-t hash is the top bit of each byte of the raw PCG64 stream seeded
+by [seed, t], which is bit for bit numpy's
+``default_rng([seed, t]).integers(0, 2, (packet_bits, in_bits), dtype=np.uint8)``.
 For each (spec, B, W) it is used with, the code keeps one codec, built on
 first use, that holds the layer-map products and one cache of that
-code's solvers, keyed by (t, erased count).
+code's solvers, keyed by (t, erased count).  A code holds the hashes and
+solvers of its _HELD_TIMES most recently used times only, so its memory
+stays flat however long the stream runs; a dropped time's hash is drawn
+again, and its solvers rebuilt, on its next use.
 """
 
 from __future__ import annotations
@@ -40,6 +46,11 @@ from . import channel, gf2, rates
 from .errors import DecodeFailure, InvalidInput, PatternViolation
 from .sources import DiagonalSourceSpec
 
+# A code keeps the hashes and solvers of this many times.  The decoder looks
+# back at most one burst plus its recovery window, and the longest horizon a
+# caller reuses one code over is 64 times, so reuse never rebuilds a solver.
+_HELD_TIMES = 128
+
 
 class _Codec:
     """Everything fixed by one (spec, B, W) design point: codeword part
@@ -52,10 +63,10 @@ class _Codec:
     when some time's innovation columns lack full column rank.
 
     The solvers belong to the BinCode that keeps this codec (see
-    ``BinCode.codec``); the codec holds no reference back to it, since
-    ``solve_window`` receives the code.  So a code and its codecs form no
-    reference cycle, and a dropped code frees its hashes and solvers at
-    once.
+    ``BinCode.codec``), which drops a time's solvers with its hash; the
+    codec holds no reference back to it, since ``solve_window`` receives
+    the code.  So a code and its codecs form no reference cycle, and a
+    dropped code frees its hashes and solvers at once.
     """
 
     def __init__(self, spec: DiagonalSourceSpec, B: int, W: int):
@@ -90,6 +101,11 @@ class _Codec:
             got = gf2.mul(self._rbits[hi], self.prod(hi - 1, lo))
             self._prods[key] = got
         return got
+
+    def drop(self, t: int) -> None:
+        """Forget the solvers of time t, whose hash the code dropped."""
+        for bp in range(self.B + 1):
+            self._solvers.pop((t, bp), None)
 
     def solve_window(
         self,
@@ -314,9 +330,18 @@ def _solve_bits(solver: gf2.PrefactoredSolver, rhs: np.ndarray, t: int) -> np.nd
 class BinCode:
     """Seeded per-time random linear hash of the flattened codeword.
 
-    The time-i matrix is reproducible from (seed, i).  When
-    ``packet_bits == n * r0_bits`` the hash degenerates to the identity
-    and packets carry the codeword verbatim (binning disabled).
+    The time-t matrix is reproducible from (seed, t): row by row, its bits
+    are the top bits of the bytes of ``PCG64([seed, t]).random_raw``, the
+    bits that ``default_rng([seed, t]).integers(0, 2, (packet_bits,
+    in_bits), dtype=np.uint8)`` returns, for less than half its cost.
+    When ``packet_bits == n * r0_bits`` the hash degenerates to the
+    identity, one matrix shared by every time, and packets carry the
+    codeword verbatim (binning disabled).
+
+    The code holds the hashes of its _HELD_TIMES most recently used times,
+    in ``_packed`` from least to most recent; every read of a time's hash
+    marks it recent.  Holding one more time drops the least recent one,
+    with its solvers in every codec.
     """
 
     seed: int
@@ -325,6 +350,7 @@ class BinCode:
     packet_bits: int
     _packed: dict = field(default_factory=dict, repr=False, compare=False)
     _codecs: dict = field(default_factory=dict, repr=False, compare=False)
+    _eye: gf2.BitMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.r0_bits < 0:
@@ -345,29 +371,46 @@ class BinCode:
         return self.packed(t).to_bits()
 
     def packed(self, t: int) -> gf2.BitMatrix:
-        """Time-t hash as a packed bit matrix, the code's one cached form."""
+        """Time-t hash as a packed bit matrix, the code's one cached form;
+        marks t as the most recently used time."""
         if t < 0:
             raise InvalidInput("packet times are nonnegative")
-        got = self._packed.get(t)
+        got = self._packed.pop(t, None)
         if got is None:
-            if self.identity_mode:
-                got = gf2.BitMatrix.identity(self.in_bits)
-            else:
-                rng = np.random.default_rng([self.seed, t])
-                got = gf2.BitMatrix.from_bits(
-                    rng.integers(0, 2, (self.packet_bits, self.in_bits), dtype=np.uint8)
-                )
-            self._packed[t] = got
+            if len(self._packed) >= _HELD_TIMES:
+                self._drop(next(iter(self._packed)))
+            got = self._draw(t)
+        self._packed[t] = got
         return got
+
+    def _draw(self, t: int) -> gf2.BitMatrix:
+        if self.identity_mode:
+            # callers only read the hash, so every time shares one identity
+            if self._eye is None:
+                self._eye = gf2.BitMatrix.identity(self.in_bits)
+            return self._eye
+        # numpy's integers(0, 2) on uint8 keeps the top bit of each raw
+        # byte, taking the bytes of each 64-bit word low to high
+        bits = self.packet_bits * self.in_bits
+        raw = np.random.PCG64([self.seed, t]).random_raw(-(-bits // 8))
+        top = raw.astype("<u8", copy=False).view(np.uint8)[:bits] >> 7
+        return gf2.BitMatrix.from_bits(top.reshape(self.packet_bits, self.in_bits))
+
+    def _drop(self, t: int) -> None:
+        del self._packed[t]
+        for codec in self._codecs.values():
+            codec.drop(t)
 
     def hash_vec(self, t: int, vec: np.ndarray) -> np.ndarray:
         """Apply the time-t hash to an (n, r0_bits) codeword array."""
         flat = np.asarray(vec, np.uint8).reshape(-1)
         if flat.shape[0] != self.in_bits:
             raise InvalidInput("codeword size does not match the hash input")
+        # checks t and marks it recent in both modes
+        hashed = self.packed(t)
         if self.identity_mode:
             return flat.copy()
-        return self.packed(t).mul_vec(gf2.BitVector.from_bits(flat)).to_bits()
+        return hashed.mul_vec(gf2.BitVector.from_bits(flat)).to_bits()
 
     def codec(self, spec: DiagonalSourceSpec, B: int, W: int) -> _Codec:
         """This code's codec for one design point, built on first use.  The

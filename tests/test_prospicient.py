@@ -58,6 +58,26 @@ def test_bincode_matrices_reproducible_and_time_varying():
     assert ident.identity_mode
     vec = np.random.default_rng(0).integers(0, 2, (4, 3), dtype=np.uint8)
     assert np.array_equal(ident.hash_vec(1, vec), vec.reshape(-1))
+    # every time shares one identity, and both modes check the time
+    assert ident.packed(1) is ident.packed(2)
+    for c in (code, ident):
+        with pytest.raises(InvalidInput, match="packet times are nonnegative"):
+            c.hash_vec(-1, vec)
+
+
+@pytest.mark.parametrize(
+    "n, r0_bits, packet_bits", [(1, 5, 0), (3, 3, 7), (2, 5, 9), (5, 13, 60), (4, 48, 185)]
+)
+def test_hash_is_numpys_uniform_bit_draw_for_seed_and_time(n, r0_bits, packet_bits):
+    # the hash definition is pinned; the bit counts 0, 63, 90, 3900 and
+    # 35520 include ones that are not a multiple of 8 or of 64
+    for seed in (0, 5, 2**31):
+        code = prospicient.BinCode(seed, n, r0_bits, packet_bits)
+        for t in (0, 1, 300):
+            want = np.random.default_rng([seed, t]).integers(
+                0, 2, (packet_bits, n * r0_bits), dtype=np.uint8
+            )
+            assert np.array_equal(code.matrix(t), want), (seed, t)
 
 
 def test_design_bincode_sizing_and_feasibility():
@@ -495,3 +515,62 @@ def test_composed_windows_cache_a_tenth_of_the_stacked_bytes():
     rows, cols = 2 * code.packet_bits, n * (3 + 3 + 1)
     stacked = len(windows) * rows * 8 * ((cols + rows + 63) // 64)
     assert held < stacked / 10
+
+
+# ---------------------------------------------------------- bounded caches
+
+
+def held_bytes(code) -> int:
+    """Bytes of the hash and solver words a code holds."""
+    total = sum(m.words.nbytes for m in code._packed.values())
+    for codec in code._codecs.values():
+        for s in codec._solvers.values():
+            if isinstance(s, prospicient._Composed):
+                total += s.reduced.ops.words.nbytes + s.lift.words.nbytes
+            else:
+                total += s.ops.words.nbytes
+    return total
+
+
+def periodic_bursts(T, period=16, first=5):
+    """A single-packet burst every ``period`` times, and the windows it opens."""
+    starts = range(first, T - 2, period)
+    pattern = channel.multi_burst([(j, 1) for j in starts], 2, T)
+    return pattern, [j + i for j in starts for i in (0, 1)]
+
+
+@pytest.mark.parametrize("n", [4, 32], ids=["identity", "binned"])
+def test_code_memory_stays_flat_however_long_the_stream(n):
+    spec, held = deep_spec(), prospicient._HELD_TIMES
+    sizes = []
+    for T in (2 * held, 4 * held):
+        code = prospicient.design_bincode(spec, 1, 1, n, seed=11)
+        assert code.identity_mode == (n == 4)
+        trace = sources.gen_diagonal(spec, n, T, seed=42)
+        pattern, window = periodic_bursts(T)
+        check_outputs(trace, run_decode(trace, spec, 1, 1, code, pattern), window)
+        assert len(code._packed) == held
+        assert {t for t, _ in code.codec(spec, 1, 1)._solvers} <= code._packed.keys()
+        sizes.append(held_bytes(code))
+    assert sizes[0] == sizes[1]
+
+
+def test_reusing_a_code_over_one_horizon_builds_no_solver_twice(monkeypatch):
+    # acceptance #5 and the benchmark's warm streams reuse one code this way
+    spec, n, T = deep_spec(), 32, 64
+    code = prospicient.design_bincode(spec, 1, 1, n, seed=12)
+    trace = sources.gen_diagonal(spec, n, T, seed=43)
+    pattern, window = periodic_bursts(T)
+    built = []
+
+    class Counting(gf2.PrefactoredSolver):
+        def __init__(self, a):
+            built.append(a.shape)
+            super().__init__(a)
+
+    monkeypatch.setattr(gf2, "PrefactoredSolver", Counting)
+    check_outputs(trace, run_decode(trace, spec, 1, 1, code, pattern), window)
+    assert len(built) >= T
+    built.clear()
+    check_outputs(trace, run_decode(trace, spec, 1, 1, code, pattern), window)
+    assert built == []
