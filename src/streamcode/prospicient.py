@@ -21,16 +21,19 @@ Everything outside the error-propagation window
 [burst_start, burst_start+B'+W-1] is emitted bit-exactly; window times are
 emitted as explicit skip markers.
 
-A BinCode is only the seeded hash, so one code can serve several specs.
-The time-t hash is the top bit of each byte of the raw PCG64 stream seeded
+A BinCode is the code of one design point: the spec and the pair (B, W)
+fix the codeword parts and, through R(B, W), the packet size, so
+``encode`` and ``decode_step`` refuse any other (spec, B, W).  The
+time-t hash is the top bit of each byte of the raw PCG64 stream seeded
 by [seed, t], which is bit for bit numpy's
 ``default_rng([seed, t]).integers(0, 2, (packet_bits, in_bits), dtype=np.uint8)``.
-For each (spec, B, W) it is used with, the code keeps one codec, built on
-first use, that holds the layer-map products and one cache of that
-code's solvers, keyed by (t, erased count).  A code holds the hashes and
-solvers of its _HELD_TIMES most recently used times only, so its memory
-stays flat however long the stream runs; a dropped time's hash is drawn
-again, and its solvers rebuilt, on its next use.
+The code also holds the layer-map products and one cache of its
+solvers, keyed by (t, erased count).  It holds the hashes and solvers of
+its _HELD_TIMES most recently used times only, so its memory stays flat
+however long the stream runs; a dropped time's hash is drawn again, and
+its solvers rebuilt, on its next use.  With binning disabled the hash is
+the identity at every time, so such a code keys its solvers by erased
+count alone and holds nothing per time.
 """
 
 from __future__ import annotations
@@ -52,43 +55,117 @@ from .sources import DiagonalSourceSpec
 _HELD_TIMES = 128
 
 
-class _Codec:
-    """Everything fixed by one (spec, B, W) design point: codeword part
-    widths, cached layer-to-layer map products as dense bit arrays, and the
-    solvers of ``solve_window``, in one dict keyed by (t, erased count).
-    Key (t, 0) holds the steady solver of time t, the building block of
-    every decode; a recovery key (t, bp >= 1) holds the window composed
-    from the steady solvers of its times (a small solver for the deep parts
-    plus the map that lifts them onto the innovations), or a stacked solver
-    when some time's innovation columns lack full column rank.
+def _part_widths(spec: DiagonalSourceSpec, B: int, W: int) -> tuple[int, ...]:
+    """Codeword part widths of a design point: the innovation layer, then
+    layer W+k for each burst slot k = 1..B."""
+    if B < 0 or W < 0:
+        raise InvalidInput("B and W must be nonnegative")
+    if spec.K != B + W:
+        raise InvalidInput("spec depth must equal B+W; normalize the spec first")
+    return (spec.widths[0],) + tuple(spec.widths[W + k] for k in range(1, B + 1))
 
-    The solvers belong to the BinCode that keeps this codec (see
-    ``BinCode.codec``), which drops a time's solvers with its hash; the
-    codec holds no reference back to it, since ``solve_window`` receives
-    the code.  So a code and its codecs form no reference cycle, and a
-    dropped code frees its hashes and solvers at once.
+
+@dataclass(eq=False)
+class BinCode:
+    """The code of one design point (spec, B, W): a seeded per-time random
+    linear hash of the flattened codeword, and everything the decoder
+    derives from it.
+
+    The time-t matrix is reproducible from (seed, t): row by row, its bits
+    are the top bits of the bytes of ``PCG64([seed, t]).random_raw``, the
+    bits that ``default_rng([seed, t]).integers(0, 2, (packet_bits,
+    in_bits), dtype=np.uint8)`` returns, for less than half its cost.
+    When ``packet_bits == n * r0_bits`` the hash degenerates to the
+    identity, one matrix shared by every time, and packets carry the
+    codeword verbatim (binning disabled).
+
+    The code also holds the codeword part widths, cached layer-to-layer map
+    products as dense bit arrays, and the solvers of ``solve_window``, in
+    one dict keyed by (t, erased count).  Key (t, 0) holds the steady
+    solver of time t, the building block of every decode; a recovery key
+    (t, bp >= 1) holds the window composed from the steady solvers of its
+    times (a small solver for the deep parts plus the map that lifts them
+    onto the innovations), or a stacked solver when some time's innovation
+    columns lack full column rank.
+
+    A binned code holds the hashes of its _HELD_TIMES most recently used
+    times, in ``_packed`` from least to most recent; every read of a time's
+    hash marks it recent.  Holding one more time drops the least recent
+    one, with its solvers.  An identity code's systems are the same at
+    every time, so it keys its solvers (None, erased count) and keeps no
+    recency order.
     """
 
-    def __init__(self, spec: DiagonalSourceSpec, B: int, W: int):
-        if B < 0 or W < 0:
-            raise InvalidInput("B and W must be nonnegative")
-        if spec.K != B + W:
-            raise InvalidInput(
-                "spec depth must equal B+W; normalize the spec first"
-            )
-        self.spec = spec
-        self.B = B
-        self.W = W
-        self.widths = spec.widths
-        self.part_widths = (spec.widths[0],) + tuple(
-            spec.widths[W + k] for k in range(1, B + 1)
-        )
+    spec: DiagonalSourceSpec
+    B: int
+    W: int
+    n: int
+    packet_bits: int
+    seed: int
+
+    def __post_init__(self) -> None:
+        self.part_widths = _part_widths(self.spec, self.B, self.W)
+        if self.n < 1:
+            raise InvalidInput("need n >= 1")
+        self.widths = self.spec.widths
         self.offs = [0, *accumulate(self.part_widths)]
-        self.r0 = self.offs[-1]
-        self._rbits = [None] + [m.to_bits() for m in spec.R]
+        self.r0_bits = self.offs[-1]
+        self.in_bits = self.n * self.r0_bits
+        if not 0 <= self.packet_bits <= self.in_bits:
+            raise InvalidInput("packet size must lie in [0, codeword bits]")
+        self.identity_mode = self.packet_bits == self.in_bits
+        # callers only read the hash, so every time shares one identity
+        self._eye = gf2.BitMatrix.identity(self.in_bits) if self.identity_mode else None
+        self._rbits = [None] + [m.to_bits() for m in self.spec.R]
         self._prods: dict[tuple[int, int], np.ndarray] = {}
+        self._packed: dict[int, gf2.BitMatrix] = {}
         # by (t, erased count): a steady step is (t, 0), a deadline (t, bp >= 1)
-        self._solvers: dict[tuple[int, int], gf2.PrefactoredSolver | _Composed] = {}
+        self._solvers: dict[tuple, gf2.PrefactoredSolver | _Composed] = {}
+
+    def _check_design_point(self, spec: DiagonalSourceSpec, B: int, W: int) -> None:
+        if B != self.B or W != self.W or (spec is not self.spec and spec != self.spec):
+            raise InvalidInput("bin code was designed for another (spec, B, W)")
+
+    def matrix(self, t: int) -> np.ndarray:
+        """Hash matrix for time t as a (packet_bits, in_bits) bit array."""
+        return self.packed(t).to_bits()
+
+    def packed(self, t: int) -> gf2.BitMatrix:
+        """Time-t hash as a packed bit matrix, the code's one cached form;
+        a binned code marks t as its most recently used time."""
+        if t < 0:
+            raise InvalidInput("packet times are nonnegative")
+        if self.identity_mode:
+            return self._eye
+        got = self._packed.pop(t, None)
+        if got is None:
+            if len(self._packed) >= _HELD_TIMES:
+                old = next(iter(self._packed))
+                del self._packed[old]
+                for bp in range(self.B + 1):
+                    self._solvers.pop((old, bp), None)
+            got = self._draw(t)
+        self._packed[t] = got
+        return got
+
+    def _draw(self, t: int) -> gf2.BitMatrix:
+        # numpy's integers(0, 2) on uint8 keeps the top bit of each raw
+        # byte, taking the bytes of each 64-bit word low to high
+        bits = self.packet_bits * self.in_bits
+        raw = np.random.PCG64([self.seed, t]).random_raw(-(-bits // 8))
+        top = raw.astype("<u8", copy=False).view(np.uint8)[:bits] >> 7
+        return gf2.BitMatrix.from_bits(top.reshape(self.packet_bits, self.in_bits))
+
+    def hash_vec(self, t: int, vec: np.ndarray) -> np.ndarray:
+        """Apply the time-t hash to an (n, r0_bits) codeword array."""
+        flat = np.asarray(vec, np.uint8).reshape(-1)
+        if flat.shape[0] != self.in_bits:
+            raise InvalidInput("codeword size does not match the hash input")
+        # checks t in both modes, and marks it recent when binned
+        hashed = self.packed(t)
+        if self.identity_mode:
+            return flat.copy()
+        return hashed.mul_vec(gf2.BitVector.from_bits(flat)).to_bits()
 
     def prod(self, hi: int, lo: int) -> np.ndarray:
         """Dense product of the inter-layer maps from layer lo up to hi."""
@@ -102,21 +179,19 @@ class _Codec:
             self._prods[key] = got
         return got
 
-    def drop(self, t: int) -> None:
-        """Forget the solvers of time t, whose hash the code dropped."""
-        for bp in range(self.B + 1):
-            self._solvers.pop((t, bp), None)
+    def _key(self, t: int, bp: int) -> tuple:
+        """Solver key of the window ending at t after bp erasures; a system
+        depends on t only through the hashes, which identity mode shares."""
+        return (None, bp) if self.identity_mode else (t, bp)
 
     def solve_window(
         self,
-        code: BinCode,
         t: int,
         j0: int,
         packets: Sequence[np.ndarray],
         pre: Sequence[np.ndarray],
     ) -> list[np.ndarray]:
-        """Joint decode of the packets of times t-L+1..t, L = len(packets),
-        hashed by ``code``, the BinCode that keeps this codec.
+        """Joint decode of the packets of times t-L+1..t, L = len(packets).
 
         Times j0..t-L were erased and ``pre`` is the full symbol at j0-1.
         A steady step is the case j0 = t, L = 1; a recovery deadline has
@@ -137,28 +212,29 @@ class _Codec:
         rank, the window is solved as one stacked system instead.  Both
         routes give the same bits and the same ``DecodeFailure`` text.
         """
-        n, n0 = code.n, self.widths[0]
+        n, n0 = self.n, self.widths[0]
         L = len(packets)
         first = t - L + 1
         bp = first - j0
         if L == 1 and bp == 0:
-            y = packets[0] ^ code.hash_vec(t, self._known(n, t, j0, first, pre, None))
-            u = _solve_bits(self._steady(code, t), y, t)
+            y = packets[0] ^ self.hash_vec(t, self._known(t, j0, first, pre, None))
+            u = _solve_bits(self._steady(t), y, t)
             return self.assemble([u.reshape(n, n0)], [], (pre, 1))
 
         # the coefficient matrices are fixed by the code and the key; only the
         # right-hand side (which folds in ``pre``) changes between decodes
-        solver = self._solvers.get((t, bp))
+        key = self._key(t, bp)
+        solver = self._solvers.get(key)
         if solver is None:
-            solver = self._compose(code, first, t, bp) or self._stack(code, first, t, bp)
-            self._solvers[t, bp] = solver
+            solver = self._compose(first, t, bp) or self._stack(first, t, bp)
+            self._solvers[key] = solver
         if isinstance(solver, _Composed):
             innov, checks = [], []
             for tau, packet in zip(range(first, t + 1), packets):
                 y = gf2.BitVector.from_bits(
-                    packet ^ code.hash_vec(tau, self._known(n, tau, j0, first, pre, innov))
+                    packet ^ self.hash_vec(tau, self._known(tau, j0, first, pre, innov))
                 )
-                z = self._steady(code, tau).ops.mul_vec(y).to_bits()
+                z = self._steady(tau).ops.mul_vec(y).to_bits()
                 innov.append(z[: n * n0].reshape(n, n0))
                 checks.append(z[n * n0 :])
             deep = _solve_bits(solver.reduced, np.concatenate(checks), t)
@@ -166,7 +242,7 @@ class _Codec:
             innov = np.concatenate(innov).reshape(-1) ^ lifted
         else:
             rhs = [
-                packet ^ code.hash_vec(tau, self._known(n, tau, j0, first, pre, None))
+                packet ^ self.hash_vec(tau, self._known(tau, j0, first, pre, None))
                 for tau, packet in zip(range(first, t + 1), packets)
             ]
             z = _solve_bits(solver, np.concatenate(rhs), t)
@@ -179,14 +255,14 @@ class _Codec:
             (pre, t - j0 + 1),
         )
 
-    def _known(self, n, tau, j0, first, pre, innov) -> np.ndarray:
-        """The (n, r0) codeword of time tau with its known parts filled in:
-        a part fed by a time before j0 comes from ``pre``, one fed by a
+    def _known(self, tau, j0, first, pre, innov) -> np.ndarray:
+        """The (n, r0_bits) codeword of time tau with its known parts filled
+        in: a part fed by a time before j0 comes from ``pre``, one fed by a
         window time b >= first from ``innov[b - first]`` (unless ``innov``
         is None); the innovation part and the parts fed by erased times
         stay zero."""
         W = self.W
-        base = np.zeros((n, self.r0), np.uint8)
+        base = np.zeros((self.n, self.r0_bits), np.uint8)
         for k in range(1, self.B + 1):
             if self.part_widths[k] == 0:
                 continue
@@ -201,14 +277,14 @@ class _Codec:
             base[:, self.offs[k] : self.offs[k + 1]] = gf2.mul(src, self.prod(W + k, lo).T)
         return base
 
-    def _reads(self, code: BinCode, tau: int, first: int, j0: int):
+    def _reads(self, tau: int, first: int, j0: int):
         """Packet tau's hash columns on each unknown it reads, as pairs
         (b, bits): b >= first reads the innovation of time b (b = tau is its
         own), an erased b < first the deep part that b's innovation became,
         layer W + first - b of the deadline symbol; bits is a
         (packet_bits, n * width) 0/1 array."""
-        n, W, rows = code.n, self.W, code.packet_bits
-        h3 = code.matrix(tau).reshape(rows, n, self.r0)
+        n, W, rows = self.n, self.W, self.packet_bits
+        h3 = self.matrix(tau).reshape(rows, n, self.r0_bits)
         yield tau, h3[:, :, : self.widths[0]].reshape(rows, n * self.widths[0])
         for k in range(1, self.B + 1):
             if self.part_widths[k] == 0:
@@ -223,31 +299,32 @@ class _Codec:
             cols = h3[:, :, self.offs[k] : self.offs[k + 1]]
             yield b, gf2.mul(cols, self.prod(W + k, lo)).reshape(rows, n * self.widths[lo])
 
-    def _steady(self, code: BinCode, tau: int) -> gf2.PrefactoredSolver:
+    def _steady(self, tau: int) -> gf2.PrefactoredSolver:
         """The cached solver of key (tau, 0), over the innovation columns
         H0_tau of the time-tau hash."""
-        got = self._solvers.get((tau, 0))
+        key = self._key(tau, 0)
+        got = self._solvers.get(key)
         if got is None:
-            got = self._solvers[tau, 0] = self._stack(code, tau, tau, 0)
+            got = self._solvers[key] = self._stack(tau, tau, 0)
         return got
 
-    def _stack(self, code: BinCode, first: int, t: int, bp: int) -> gf2.PrefactoredSolver:
+    def _stack(self, first: int, t: int, bp: int) -> gf2.PrefactoredSolver:
         """One solver over the stacked system of the packets first..t after
         bp erasures; unknown blocks: the L innovations in time order, then
         the deep parts of times first-1, first-2, ..."""
-        n, L = code.n, t - first + 1
+        n, L = self.n, t - first + 1
         zw = [self.widths[0]] * L + [self.widths[self.W + m] for m in range(1, bp + 1)]
         zoffs = [0, *accumulate(n * w for w in zw)]
         blocks = []
         for tau in range(first, t + 1):
-            acc = np.zeros((code.packet_bits, zoffs[-1]), np.uint8)
-            for b, bits in self._reads(code, tau, first, first - bp):
+            acc = np.zeros((self.packet_bits, zoffs[-1]), np.uint8)
+            for b, bits in self._reads(tau, first, first - bp):
                 i = b - first if b >= first else L + first - b - 1
                 acc[:, zoffs[i] : zoffs[i + 1]] ^= bits
             blocks.append(acc)
         return gf2.PrefactoredSolver(gf2.BitMatrix.from_bits(np.concatenate(blocks)))
 
-    def _compose(self, code: BinCode, first: int, t: int, bp: int) -> _Composed | None:
+    def _compose(self, first: int, t: int, bp: int) -> _Composed | None:
         """The window of key (t, bp) reduced to its deep parts d, or None
         when some time's H0_tau lacks full column rank.
 
@@ -262,15 +339,14 @@ class _Codec:
         their rank deficit and their consistency, hence every decoded bit
         and every failure message.
         """
-        n = code.n
-        doffs = [0, *accumulate(n * self.widths[self.W + m] for m in range(1, bp + 1))]
+        doffs = [0, *accumulate(self.n * self.widths[self.W + m] for m in range(1, bp + 1))]
         lifts, checks = [], []
         for tau in range(first, t + 1):
-            steady = self._steady(code, tau)
+            steady = self._steady(tau)
             if steady.rank < steady.cols:
                 return None
-            reads = np.zeros((code.packet_bits, doffs[-1]), np.uint8)
-            for b, bits in self._reads(code, tau, first, first - bp):
+            reads = np.zeros((self.packet_bits, doffs[-1]), np.uint8)
+            for b, bits in self._reads(tau, first, first - bp):
                 if b == tau:
                     continue
                 if b >= first:
@@ -326,105 +402,6 @@ def _solve_bits(solver: gf2.PrefactoredSolver, rhs: np.ndarray, t: int) -> np.nd
         raise DecodeFailure(f"time {t}: {exc}") from exc
 
 
-@dataclass
-class BinCode:
-    """Seeded per-time random linear hash of the flattened codeword.
-
-    The time-t matrix is reproducible from (seed, t): row by row, its bits
-    are the top bits of the bytes of ``PCG64([seed, t]).random_raw``, the
-    bits that ``default_rng([seed, t]).integers(0, 2, (packet_bits,
-    in_bits), dtype=np.uint8)`` returns, for less than half its cost.
-    When ``packet_bits == n * r0_bits`` the hash degenerates to the
-    identity, one matrix shared by every time, and packets carry the
-    codeword verbatim (binning disabled).
-
-    The code holds the hashes of its _HELD_TIMES most recently used times,
-    in ``_packed`` from least to most recent; every read of a time's hash
-    marks it recent.  Holding one more time drops the least recent one,
-    with its solvers in every codec.
-    """
-
-    seed: int
-    n: int
-    r0_bits: int
-    packet_bits: int
-    _packed: dict = field(default_factory=dict, repr=False, compare=False)
-    _codecs: dict = field(default_factory=dict, repr=False, compare=False)
-    _eye: gf2.BitMatrix | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.r0_bits < 0:
-            raise InvalidInput("need n >= 1 and a nonnegative codeword width")
-        if not 0 <= self.packet_bits <= self.in_bits:
-            raise InvalidInput("packet size must lie in [0, codeword bits]")
-
-    @property
-    def in_bits(self) -> int:
-        return self.n * self.r0_bits
-
-    @property
-    def identity_mode(self) -> bool:
-        return self.packet_bits == self.in_bits
-
-    def matrix(self, t: int) -> np.ndarray:
-        """Hash matrix for time t as a (packet_bits, in_bits) bit array."""
-        return self.packed(t).to_bits()
-
-    def packed(self, t: int) -> gf2.BitMatrix:
-        """Time-t hash as a packed bit matrix, the code's one cached form;
-        marks t as the most recently used time."""
-        if t < 0:
-            raise InvalidInput("packet times are nonnegative")
-        got = self._packed.pop(t, None)
-        if got is None:
-            if len(self._packed) >= _HELD_TIMES:
-                self._drop(next(iter(self._packed)))
-            got = self._draw(t)
-        self._packed[t] = got
-        return got
-
-    def _draw(self, t: int) -> gf2.BitMatrix:
-        if self.identity_mode:
-            # callers only read the hash, so every time shares one identity
-            if self._eye is None:
-                self._eye = gf2.BitMatrix.identity(self.in_bits)
-            return self._eye
-        # numpy's integers(0, 2) on uint8 keeps the top bit of each raw
-        # byte, taking the bytes of each 64-bit word low to high
-        bits = self.packet_bits * self.in_bits
-        raw = np.random.PCG64([self.seed, t]).random_raw(-(-bits // 8))
-        top = raw.astype("<u8", copy=False).view(np.uint8)[:bits] >> 7
-        return gf2.BitMatrix.from_bits(top.reshape(self.packet_bits, self.in_bits))
-
-    def _drop(self, t: int) -> None:
-        del self._packed[t]
-        for codec in self._codecs.values():
-            codec.drop(t)
-
-    def hash_vec(self, t: int, vec: np.ndarray) -> np.ndarray:
-        """Apply the time-t hash to an (n, r0_bits) codeword array."""
-        flat = np.asarray(vec, np.uint8).reshape(-1)
-        if flat.shape[0] != self.in_bits:
-            raise InvalidInput("codeword size does not match the hash input")
-        # checks t and marks it recent in both modes
-        hashed = self.packed(t)
-        if self.identity_mode:
-            return flat.copy()
-        return hashed.mul_vec(gf2.BitVector.from_bits(flat)).to_bits()
-
-    def codec(self, spec: DiagonalSourceSpec, B: int, W: int) -> _Codec:
-        """This code's codec for one design point, built on first use.  The
-        codec keeps ``spec`` alive, so its id stays a valid key."""
-        key = (id(spec), B, W)
-        got = self._codecs.get(key)
-        if got is None:
-            got = _Codec(spec, B, W)
-            if got.r0 != self.r0_bits:
-                raise InvalidInput("bin code was sized for a different design point")
-            self._codecs[key] = got
-        return got
-
-
 def design_bincode(
     spec: DiagonalSourceSpec,
     B: int,
@@ -433,7 +410,7 @@ def design_bincode(
     delta: int = 8,
     seed: int = 0,
 ) -> BinCode:
-    """Size a BinCode for the given source and channel design point.
+    """Build the BinCode of the given source and channel design point.
 
     The packet carries ceil(n * diagonal_rate(N, B, W)) + delta bits
     (delta slack bits per packet buy a 2**-((W+1)*delta) failure bound),
@@ -443,7 +420,7 @@ def design_bincode(
     """
     if delta < 0:
         raise InvalidInput(f"delta must be nonnegative, got {delta}")
-    r0 = _Codec(spec, B, W).r0
+    r0 = sum(_part_widths(spec, B, W))
     need = math.ceil(rates.diagonal_rate(spec.widths, B, W) * n)
     cap = n * r0
     packet_bits = min(need + delta, cap)
@@ -451,7 +428,7 @@ def design_bincode(
         raise InvalidInput(
             f"packet_bits must lie in [{need}, {cap}] for this design point"
         )
-    return BinCode(seed=seed, n=n, r0_bits=r0, packet_bits=packet_bits)
+    return BinCode(spec, B, W, n, packet_bits, seed)
 
 
 @dataclass
@@ -476,13 +453,14 @@ def encode(
 ) -> PacketStream:
     """Hash each time-step's codeword into one packet.  Part 0 of the
     codeword is the innovation layer; part k (k = 1..B) is layer k pushed
-    to depth W+k, one product over the whole trace per part."""
-    codec = bincode.codec(spec, B, W)
+    to depth W+k, one product over the whole trace per part.  The code
+    must be the one designed for (spec, B, W)."""
+    bincode._check_design_point(spec, B, W)
     layers = [np.asarray(a, np.uint8) for a in trace.sub]
     if [a.shape for a in layers] != [(trace.T, bincode.n, w) for w in spec.widths]:
         raise InvalidInput("trace layers must be (T, n, N_j) arrays for the spec and code")
     parts = [layers[0]] + [
-        gf2.mul(layers[k], codec.prod(W + k, k).T) for k in range(1, B + 1)
+        gf2.mul(layers[k], bincode.prod(W + k, k).T) for k in range(1, B + 1)
     ]
     words = np.concatenate(parts, axis=2)
     packets = [bincode.hash_vec(t, words[t]) for t in range(trace.T)]
@@ -531,10 +509,11 @@ def decode_step(
         PatternViolation: the erasure pattern breaks the single-burst /
             guard-spacing contract this codec is designed for.
         DecodeFailure: the hash did not pin the unknowns down uniquely.
-        InvalidInput: at time 0, the revealed tail symbol lacks an
-            (n, N_j) layer for some j < K (the layers the decoder reads).
+        InvalidInput: (spec, B, W) is not the design point of ``bincode``;
+            or at time 0, the revealed tail symbol lacks an (n, N_j) layer
+            for some j < K (the layers the decoder reads).
     """
-    codec = bincode.codec(spec, B, W)
+    bincode._check_design_point(spec, B, W)
     t = state.time
     if t == 0:
         _check_tail(state.last_known, spec, bincode.n)
@@ -566,15 +545,13 @@ def decode_step(
     arr = np.asarray(raw, np.uint8)
 
     if state.mode == "steady":
-        layers = codec.solve_window(bincode, t, t, [arr], state.last_known)
+        layers = bincode.solve_window(t, t, [arr], state.last_known)
     else:
         state.buffered.append(arr)
         if len(state.buffered) < W + 1:
             state.time += 1
             return state, None
-        layers = codec.solve_window(
-            bincode, t, state.burst_start, state.buffered, state.last_known
-        )
+        layers = bincode.solve_window(t, state.burst_start, state.buffered, state.last_known)
         state.mode = "steady"
         state.burst_start = None
         state.burst_len = 0

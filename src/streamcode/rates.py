@@ -18,7 +18,6 @@ from .markov import (
     block_cond_entropy,
     cond_entropy_gap,
     cond_mutual_info,
-    is_symmetric,
 )
 
 _AGREE_TOL = 1e-9
@@ -50,13 +49,6 @@ def r_minus(chain: FiniteMarkovChain, q: RateQuery) -> float:
     """Converse bound; the mutual-information term reaches across the whole
     recovery window, so it can only be smaller than the one in r_plus."""
     return cond_entropy_gap(chain, 1) + cond_mutual_info(chain, q.B, q.W + 1) / (q.W + 1)
-
-
-def r_symmetric_memoryless(chain: FiniteMarkovChain, q: RateQuery) -> float:
-    """Optimal rate over memoryless encoders for time-reversible chains."""
-    if not is_symmetric(chain):
-        raise InvalidInput("theorem precondition violated")
-    return block_cond_entropy(chain, q.B, q.W) / (q.W + 1)
 
 
 def r_delay(chain: FiniteMarkovChain, B: int, T: int) -> float:

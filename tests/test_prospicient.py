@@ -49,12 +49,18 @@ def check_outputs(trace, out, window=()):
 # --------------------------------------------------------------- bin code
 
 
+def one_layer_code(n, r0_bits, packet_bits, seed):
+    """A code whose codeword is one layer of r0_bits (B = W = 0)."""
+    spec = sources.DiagonalSourceSpec((r0_bits,), ())
+    return prospicient.BinCode(spec, 0, 0, n, packet_bits, seed)
+
+
 def test_bincode_matrices_reproducible_and_time_varying():
-    code = prospicient.BinCode(seed=5, n=4, r0_bits=3, packet_bits=7)
-    again = prospicient.BinCode(seed=5, n=4, r0_bits=3, packet_bits=7)
+    code = one_layer_code(n=4, r0_bits=3, packet_bits=7, seed=5)
+    again = one_layer_code(n=4, r0_bits=3, packet_bits=7, seed=5)
     assert np.array_equal(code.matrix(2), again.matrix(2))
     assert not np.array_equal(code.matrix(2), code.matrix(3))
-    ident = prospicient.BinCode(seed=5, n=4, r0_bits=3, packet_bits=12)
+    ident = one_layer_code(n=4, r0_bits=3, packet_bits=12, seed=5)
     assert ident.identity_mode
     vec = np.random.default_rng(0).integers(0, 2, (4, 3), dtype=np.uint8)
     assert np.array_equal(ident.hash_vec(1, vec), vec.reshape(-1))
@@ -72,7 +78,7 @@ def test_hash_is_numpys_uniform_bit_draw_for_seed_and_time(n, r0_bits, packet_bi
     # the hash definition is pinned; the bit counts 0, 63, 90, 3900 and
     # 35520 include ones that are not a multiple of 8 or of 64
     for seed in (0, 5, 2**31):
-        code = prospicient.BinCode(seed, n, r0_bits, packet_bits)
+        code = one_layer_code(n, r0_bits, packet_bits, seed)
         for t in (0, 1, 300):
             want = np.random.default_rng([seed, t]).integers(
                 0, 2, (packet_bits, n * r0_bits), dtype=np.uint8
@@ -150,8 +156,10 @@ def test_encode_rejects_bad_layouts():
     spec = unit_chain(2)
     n, T = 3, 4
     trace = sources.gen_diagonal(spec, n, T, seed=10)
-    code = prospicient.design_bincode(spec, 1, 1, n, seed=2)
     with pytest.raises(InvalidInput, match="normalize"):
+        prospicient.design_bincode(spec, 1, 0, n, seed=2)
+    code = prospicient.design_bincode(spec, 1, 1, n, seed=2)
+    with pytest.raises(InvalidInput, match="designed for another"):
         prospicient.encode(trace, spec, 1, 0, code)
     bad = {
         "missing layer": trace.sub[:2],
@@ -307,19 +315,26 @@ def test_pattern_violations():
     check_outputs(trace2, out, window={1, 2, 5, 6})
 
 
-def test_one_code_serves_specs_with_equal_widths():
-    # the window solver depends on the layer maps, not only on the
-    # widths, so a code shared by two such specs must keep one per spec
-    specs = [
-        sources.DiagonalSourceSpec((3, 2, 1), (bm([[1, 0, 0], [0, 1, 0]]), bm([[1, 0]]))),
-        sources.DiagonalSourceSpec((3, 2, 1), (bm([[0, 1, 1], [1, 0, 1]]), bm([[1, 1]]))),
-    ]
+def test_code_refuses_another_spec_with_equal_widths():
+    # the solvers depend on the layer maps, not only on the widths, so a
+    # code serves the spec it was designed for and refuses every other
+    spec = sources.DiagonalSourceSpec((3, 2, 1), (bm([[1, 0, 0], [0, 1, 0]]), bm([[1, 0]])))
+    other = sources.DiagonalSourceSpec((3, 2, 1), (bm([[0, 1, 1], [1, 0, 1]]), bm([[1, 1]])))
     n, T = 16, 10
-    code = prospicient.design_bincode(specs[0], 1, 1, n, delta=16, seed=3)
-    for i, spec in enumerate(specs):
-        trace = sources.gen_diagonal(spec, n, T, seed=30 + i)
-        out = run_decode(trace, spec, 1, 1, code, channel.single_burst(3, 1, T))
-        check_outputs(trace, out, window=(3, 4))
+    code = prospicient.design_bincode(spec, 1, 1, n, delta=16, seed=3)
+    with pytest.raises(InvalidInput, match="designed for another"):
+        prospicient.encode(sources.gen_diagonal(other, n, T, seed=31), other, 1, 1, code)
+    trace = sources.gen_diagonal(spec, n, T, seed=30)
+    packet = prospicient.encode(trace, spec, 1, 1, code).packets[0]
+    state = prospicient.DecoderState.initial(symbol_at(trace, -1))
+    with pytest.raises(InvalidInput, match="designed for another"):
+        prospicient.decode_step(state, packet, other, 1, 1, code)
+    assert state.time == 0
+    # an equal spec read back from JSON is the same design point
+    again = sources.DiagonalSourceSpec.from_json(spec.to_json())
+    assert again is not spec
+    out = run_decode(trace, again, 1, 1, code, channel.single_burst(3, 1, T))
+    check_outputs(trace, out, window=(3, 4))
 
 
 def test_undersized_packets_raise_decode_failure():
@@ -327,7 +342,7 @@ def test_undersized_packets_raise_decode_failure():
     n, T = 8, 4
     trace = sources.gen_diagonal(spec, n, T, seed=21)
     # below the information threshold: steady unknowns can never be pinned
-    code = prospicient.BinCode(seed=10, n=n, r0_bits=2, packet_bits=n - 1)
+    code = prospicient.BinCode(spec, 1, 1, n, packet_bits=n - 1, seed=10)
     with pytest.raises(DecodeFailure, match="underdetermined"):
         run_decode(trace, spec, 1, 1, code)
 
@@ -387,7 +402,7 @@ def test_packet_entry_other_than_0_or_1_is_an_input_error(bad):
 
 
 def test_dropped_code_is_freed_without_the_cycle_collector():
-    # a codec holds no reference back to its code, so dropping the code
+    # no solver holds a reference back to its code, so dropping the code
     # frees it, its hashes and its solvers at once
     spec = unit_chain(2)
     n, T = 8, 6
@@ -397,7 +412,7 @@ def test_dropped_code_is_freed_without_the_cycle_collector():
         code = prospicient.design_bincode(spec, 1, 1, n, seed=15)
         out = run_decode(trace, spec, 1, 1, code, channel.single_burst(2, 1, T))
         check_outputs(trace, out, window=(2, 3))
-        built = len(code.codec(spec, 1, 1)._solvers)
+        built = len(code._solvers)
         assert built > 0
         ref = weakref.ref(code)
         del code
@@ -428,8 +443,8 @@ def decode_or_failure(trace, spec, B, W, code, pattern, flip=None):
     return [None if o is None else tuple(layer.tobytes() for layer in o) for o in out]
 
 
-def window_solvers(code, spec, B, W) -> dict:
-    return {key: s for key, s in code.codec(spec, B, W)._solvers.items() if key[1]}
+def window_solvers(code) -> dict:
+    return {key: s for key, s in code._solvers.items() if key[1]}
 
 
 def test_composed_windows_match_the_stacked_solve(monkeypatch):
@@ -454,12 +469,12 @@ def test_composed_windows_match_the_stacked_solve(monkeypatch):
             trace = sources.gen_diagonal(spec, n, T, seed=seed)
             pattern = channel.single_burst(start, blen, T)
             outs.append(decode_or_failure(trace, spec, B, W, code, pattern, flip))
-            kinds.update(type(s) for s in window_solvers(code, spec, B, W).values())
+            kinds.update(type(s) for s in window_solvers(code).values())
         return outs, kinds
 
     composed, kinds = run_all()
     assert prospicient._Composed in kinds
-    monkeypatch.setattr(prospicient._Codec, "_compose", lambda *args: None)
+    monkeypatch.setattr(prospicient.BinCode, "_compose", lambda *args: None)
     stacked, kinds = run_all()
     assert kinds == {gf2.PrefactoredSolver}
     assert composed == stacked
@@ -490,9 +505,9 @@ def test_rank_deficient_steady_block_falls_back_to_the_stacked_solve(monkeypatch
             continue
         trace = sources.gen_diagonal(spec, n, T, seed=seed)
         got = decode_or_failure(trace, spec, 1, 1, code, pattern)
-        assert isinstance(window_solvers(code, spec, 1, 1)[4, 1], gf2.PrefactoredSolver)
+        assert isinstance(window_solvers(code)[4, 1], gf2.PrefactoredSolver)
         with monkeypatch.context() as m:
-            m.setattr(prospicient._Codec, "_compose", lambda *args: None)
+            m.setattr(prospicient.BinCode, "_compose", lambda *args: None)
             code = prospicient.design_bincode(spec, 1, 1, n, delta=1, seed=seed)
             assert decode_or_failure(trace, spec, 1, 1, code, pattern) == got
         outcomes.add(got if isinstance(got, str) else "decoded")
@@ -507,7 +522,7 @@ def test_composed_windows_cache_a_tenth_of_the_stacked_bytes():
     for j in range(T):
         out = run_decode(trace, spec, 1, 1, code, channel.single_burst(j, 1, T))
         check_outputs(trace, out, window=range(j, j + 2))
-    windows = window_solvers(code, spec, 1, 1)
+    windows = window_solvers(code)
     assert len(windows) == T - 2
     assert all(isinstance(s, prospicient._Composed) for s in windows.values())
     held = sum(s.reduced.ops.words.nbytes + s.lift.words.nbytes for s in windows.values())
@@ -523,12 +538,11 @@ def test_composed_windows_cache_a_tenth_of_the_stacked_bytes():
 def held_bytes(code) -> int:
     """Bytes of the hash and solver words a code holds."""
     total = sum(m.words.nbytes for m in code._packed.values())
-    for codec in code._codecs.values():
-        for s in codec._solvers.values():
-            if isinstance(s, prospicient._Composed):
-                total += s.reduced.ops.words.nbytes + s.lift.words.nbytes
-            else:
-                total += s.ops.words.nbytes
+    for s in code._solvers.values():
+        if isinstance(s, prospicient._Composed):
+            total += s.reduced.ops.words.nbytes + s.lift.words.nbytes
+        else:
+            total += s.ops.words.nbytes
     return total
 
 
@@ -549,8 +563,12 @@ def test_code_memory_stays_flat_however_long_the_stream(n):
         trace = sources.gen_diagonal(spec, n, T, seed=42)
         pattern, window = periodic_bursts(T)
         check_outputs(trace, run_decode(trace, spec, 1, 1, code, pattern), window)
-        assert len(code._packed) == held
-        assert {t for t, _ in code.codec(spec, 1, 1)._solvers} <= code._packed.keys()
+        if code.identity_mode:
+            # one hash for every time: one solver per erased count, nothing per time
+            assert not code._packed and len(code._solvers) <= 2
+        else:
+            assert len(code._packed) == held
+            assert {t for t, _ in code._solvers} <= code._packed.keys()
         sizes.append(held_bytes(code))
     assert sizes[0] == sizes[1]
 
@@ -574,3 +592,23 @@ def test_reusing_a_code_over_one_horizon_builds_no_solver_twice(monkeypatch):
     built.clear()
     check_outputs(trace, run_decode(trace, spec, 1, 1, code, pattern), window)
     assert built == []
+
+
+def test_identity_code_builds_one_solver_per_erased_count(monkeypatch):
+    # binning disabled: every time hashes by the same identity, so every
+    # system of one erased count is the same, however long the stream
+    spec, B, W, n, T = deep_spec(), 1, 1, 8, 300
+    code = prospicient.design_bincode(spec, B, W, n, delta=10**6, seed=13)
+    assert code.identity_mode
+    trace = sources.gen_diagonal(spec, n, T, seed=44)
+    pattern, window = periodic_bursts(T)
+    built = []
+
+    class Counting(gf2.PrefactoredSolver):
+        def __init__(self, a):
+            built.append(a.shape)
+            super().__init__(a)
+
+    monkeypatch.setattr(gf2, "PrefactoredSolver", Counting)
+    check_outputs(trace, run_decode(trace, spec, B, W, code, pattern), window)
+    assert 0 < len(built) <= B + 1

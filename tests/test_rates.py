@@ -21,7 +21,6 @@ def test_iid_chain_is_a_fixed_point():
             q = rates.RateQuery(B=B, W=W)
             assert abs(rates.r_plus(half, q) - 1.0) <= 1e-12
             assert abs(rates.r_minus(half, q) - 1.0) <= 1e-12
-            assert abs(rates.r_symmetric_memoryless(half, q) - 1.0) <= 1e-12
         for T in range(4):
             assert abs(rates.r_delay(half, B, T) - 1.0) <= 1e-12
 
@@ -85,21 +84,10 @@ def test_bound_gap_shrinks_with_window():
         assert gaps[12] <= i_terms[0] / 13 + 1e-12
 
 
-def test_r_symmetric_memoryless():
-    for eps in (0.1, 0.25, 0.4):
-        chain = markov.BinarySymmetricChain(eps)
-        for B in range(3):
-            for W in range(3):
-                q = rates.RateQuery(B=B, W=W)
-                assert abs(
-                    rates.r_symmetric_memoryless(chain, q) - rates.r_plus(chain, q)
-                ) <= 1e-12
+def test_r_plus_closed_form_over_a_two_step_window():
     quarter = markov.BinarySymmetricChain(0.25)
-    got = rates.r_symmetric_memoryless(quarter, rates.RateQuery(B=1, W=1))
+    got = rates.r_plus(quarter, rates.RateQuery(B=1, W=1))
     assert abs(got - (h_b(0.375) + h_b(0.25)) / 2) <= 1e-12
-    cyclic = markov.FiniteMarkovChain([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    with pytest.raises(InvalidInput, match="theorem precondition violated"):
-        rates.r_symmetric_memoryless(cyclic, rates.RateQuery(B=1, W=1))
 
 
 def test_r_delay_examples():
