@@ -1,5 +1,5 @@
 """Shared exception types for the streamcode package, and the JSON field
-reader that turns a malformed input file into an InvalidInput."""
+readers that turn a malformed input file into an InvalidInput."""
 
 from __future__ import annotations
 
@@ -47,3 +47,10 @@ def json_field(obj: Any, key: str, convert: Callable = lambda v: v) -> Any:
         return convert(obj[key])
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"{key!r}: {exc}") from exc
+
+
+def json_int(v: Any) -> int:
+    """``v`` if it is a JSON integer; a float (even 2.0), bool or string is a TypeError."""
+    if type(v) is not int:
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v

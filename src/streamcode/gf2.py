@@ -12,9 +12,9 @@ significant bit first.  Everything rests on two routines:
   the stripe's pivot rows absorbed so far) picks the pivots, then up to
   eight 256-entry XOR tables over the stripe's pivot rows apply all of the
   stripe's row operations to the words right of it in one pass.
-  :func:`rank`, :func:`rref`, :func:`solve`, :func:`solve_unique`,
-  :func:`invert`, :func:`independent_rows` and :class:`PrefactoredSolver`
-  are thin front-ends over it.
+  Each elimination job has one front-end over it: :func:`rank`,
+  :func:`solve` (free variables zero), :class:`PrefactoredSolver` (unique
+  solves, also behind :func:`invert`) and :func:`independent_rows`.
 """
 
 from __future__ import annotations
@@ -23,16 +23,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, json_field
+from .errors import InvalidInput, json_field, json_int
 
 __all__ = [
     "BitMatrix",
     "BitVector",
+    "PrefactoredSolver",
     "mul",
+    "vstack",
     "rank",
-    "rref",
     "solve",
-    "solve_unique",
     "invert",
     "independent_rows",
 ]
@@ -184,7 +184,7 @@ class BitMatrix:
     @classmethod
     def from_json(cls, obj: dict) -> "BitMatrix":
         """Inverse of :meth:`to_json`; a malformed object raises InvalidInput."""
-        rows, cols = json_field(obj, "rows", int), json_field(obj, "cols", int)
+        rows, cols = json_field(obj, "rows", json_int), json_field(obj, "cols", json_int)
         data = json_field(obj, "data")
         if not (
             isinstance(data, list)
@@ -330,66 +330,19 @@ def rank(m: BitMatrix) -> int:
     return r
 
 
-def rref(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
-    """Reduced row-echelon form.
+def solve(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """Solve A X = B over GF(2) for X (n x k), with A r x n and B r x k,
+    setting free variables to zero.
 
-    Returns:
-        (R, pivots): R has the same shape as ``m``; ``pivots`` is the tuple
-        of pivot column indices, one per nonzero row of R.
+    Raises:
+        ValueError: "inconsistent system" if no solution exists.
     """
-    w = m.words.copy()
-    _, pivots = _reduce(w, m.cols)
-    return BitMatrix(m.rows, m.cols, w), tuple(pivots)
-
-
-def _solve(a: BitMatrix, b: BitMatrix, unique: bool) -> BitMatrix:
     r, pivots, rhs = _reduce_augmented(a, b)
-    if unique and r < a.cols:
-        raise ValueError("underdetermined")
     if rhs[r:].any():
         raise ValueError("inconsistent system")
     x = BitMatrix(a.cols, b.cols)
     x.words[pivots] = rhs[:r]
     return x
-
-
-def solve(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Solve A X = B over GF(2), setting free variables to zero.
-
-    Args:
-        a: Coefficient matrix (r x n).
-        b: Right-hand side (r x k).
-
-    Returns:
-        X of shape (n x k).
-
-    Raises:
-        ValueError: If the system is inconsistent.
-    """
-    return _solve(a, b, unique=False)
-
-
-def solve_unique(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Solve A X = B over GF(2), insisting the solution is unique.
-
-    Same contract as :func:`solve` except that A must have full column
-    rank, i.e. there must be exactly one X.
-
-    Raises:
-        ValueError: "underdetermined" if A is column-rank deficient,
-            "inconsistent system" if no solution exists.
-    """
-    return _solve(a, b, unique=True)
-
-
-def invert(m: BitMatrix) -> BitMatrix:
-    """Inverse of a square matrix; raises ValueError("singular") otherwise."""
-    if m.rows != m.cols:
-        raise ValueError("singular")
-    try:
-        return solve_unique(m, BitMatrix.identity(m.rows))
-    except ValueError:
-        raise ValueError("singular") from None
 
 
 class PrefactoredSolver:
@@ -440,6 +393,17 @@ class PrefactoredSolver:
         return z[: self.rank]
 
 
+def invert(m: BitMatrix) -> BitMatrix:
+    """Inverse of a square matrix; raises ValueError("singular") otherwise.
+
+    Full rank pivots on columns 0..n-1 in order, so ``ops`` is the inverse.
+    """
+    solver = PrefactoredSolver(m)
+    if m.rows != m.cols or solver.rank < m.cols:
+        raise ValueError("singular")
+    return solver.ops
+
+
 def independent_rows(m: BitMatrix) -> tuple[np.ndarray, BitMatrix]:
     """Split rows into a maximal independent prefix and their dependents.
 
@@ -453,8 +417,9 @@ def independent_rows(m: BitMatrix) -> tuple[np.ndarray, BitMatrix]:
         (num_dependent x num_independent) matrix with
         ``M[dependent] = V @ M[independent]``.
     """
-    reduced, pivots = rref(m.transpose())
+    reduced = m.transpose().words
+    _, pivots = _reduce(reduced, m.rows)
     dependent = np.setdiff1d(np.arange(m.rows), pivots)
     perm = np.concatenate([np.asarray(pivots, np.int64), dependent])
-    v = reduced.to_bits()[: len(pivots), dependent].T
+    v = _unpack_bits(reduced, m.rows)[: len(pivots), dependent].T
     return perm, BitMatrix.from_bits(v)

@@ -11,7 +11,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import InvalidInput, InvariantViolation, json_field
+from .errors import InvalidInput, InvariantViolation, json_field, json_int
 
 _ROW_TOL = 1e-12
 _PI_RESIDUAL = 1e-13
@@ -86,7 +86,7 @@ class FiniteMarkovChain:
         """The chain of a parsed ``{"P": matrix}`` object; an optional
         ``alphabet`` must match the matrix size."""
         chain = cls(json_field(obj, "P"))
-        if "alphabet" in obj and json_field(obj, "alphabet", int) != chain.alphabet_size:
+        if "alphabet" in obj and json_field(obj, "alphabet", json_int) != chain.alphabet_size:
             raise InvalidInput("alphabet field disagrees with matrix size")
         return chain
 

@@ -54,7 +54,7 @@ def r_minus(chain: FiniteMarkovChain, q: RateQuery) -> float:
 def r_delay(chain: FiniteMarkovChain, B: int, T: int) -> float:
     """Rate for immediate-window recovery (W=0) with decode delay T."""
     if B < 0:
-        raise InvalidInput("B and W must be nonnegative")
+        raise InvalidInput("B must be nonnegative")
     if T < 0:
         raise InvalidInput("T must be nonnegative")
     direct = (

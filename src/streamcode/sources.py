@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gf2
-from .errors import InvalidInput, InvariantViolation, json_field
+from .errors import InvalidInput, InvariantViolation, json_field, json_int
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class DiagonalSourceSpec:
     def from_json(cls, obj: dict) -> "DiagonalSourceSpec":
         """Inverse of :meth:`to_json`; a malformed object raises InvalidInput."""
         return cls(
-            widths=json_field(obj, "widths", lambda v: tuple(int(w) for w in v)),
+            widths=json_field(obj, "widths", lambda v: tuple(json_int(w) for w in v)),
             R=json_field(obj, "R", lambda v: tuple(gf2.BitMatrix.from_json(m) for m in v)),
         )
 
@@ -105,8 +105,8 @@ class SemiDetSpec:
     def from_json(cls, obj: dict) -> "SemiDetSpec":
         """Inverse of :meth:`to_json`; a malformed object raises InvalidInput."""
         return cls(
-            N0=json_field(obj, "N0", int),
-            Nd=json_field(obj, "Nd", int),
+            N0=json_field(obj, "N0", json_int),
+            Nd=json_field(obj, "Nd", json_int),
             A=json_field(obj, "A", gf2.BitMatrix.from_json),
             B=json_field(obj, "B", gf2.BitMatrix.from_json),
         )

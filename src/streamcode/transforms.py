@@ -161,6 +161,7 @@ class LinearMap:
     in_widths: tuple[int, ...]
     out_widths: tuple[int, ...]
     drop: DropPlan | None = None
+    _inverse: gf2.BitMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "in_widths", tuple(int(w) for w in self.in_widths))
@@ -172,12 +173,12 @@ class LinearMap:
         if sum(self.out_widths) != size:
             raise InvalidInput("output widths do not match the matrix")
         try:
-            gf2.invert(self.matrix)
+            object.__setattr__(self, "_inverse", gf2.invert(self.matrix))
         except ValueError:
             raise InvariantViolation("map matrix is singular") from None
 
     def inverse_matrix(self) -> gf2.BitMatrix:
-        return gf2.invert(self.matrix)
+        return self._inverse
 
     def to_json(self) -> dict:
         return {
@@ -191,21 +192,14 @@ class LinearMap:
 def case1_transform(spec: SemiDetSpec) -> tuple[LinearMap, DiagonalSourceSpec]:
     """One-shot reduction when the innovation coupling has full row rank.
 
-    Solving A X = B and folding X s_{i,d} into the innovation makes the
-    deterministic layer a function of the previous (adjusted) innovation
-    alone.  The map is its own inverse.
+    This is :func:`lb_transform`'s one backward step: solving A X = B and
+    folding X s_{i,d} into the innovation makes the deterministic layer a
+    function of the previous (adjusted) innovation alone.  The map is its
+    own inverse.
     """
     if gf2.rank(spec.A) != spec.Nd:
         raise InvalidInput("use lf/lb pipeline")
-    x = gf2.solve(spec.A, spec.B)
-    total = spec.N0 + spec.Nd
-    m = np.eye(total, dtype=np.uint8)
-    m[: spec.N0, spec.N0 :] = x.to_bits()
-    out = DiagonalSourceSpec(widths=(spec.N0, spec.Nd), R=(spec.A,))
-    return (
-        LinearMap(gf2.BitMatrix.from_bits(m), (spec.N0, spec.Nd), (spec.N0, spec.Nd)),
-        out,
-    )
+    return lb_transform(UpperTriSpec((spec.N0, spec.Nd), {(1, 0): spec.A, (1, 1): spec.B}))
 
 
 def lf_transform(spec: SemiDetSpec) -> tuple[LinearMap, UpperTriSpec]:

@@ -411,8 +411,11 @@ def test_simulate_det_negative_delta_names_delta(capsys):
         ({"Q": [[0.5, 0.5], [0.5, 0.5]]}, "'P'"),
         ([[0.5, 0.5], [0.5]], "numeric 2-D array"),
         ({"P": [[None, 1.0], [0.5, 0.5]]}, "[0, 1]"),
+        # int() would truncate 2.7 and parse "2", so both matched the size
+        ({"P": [[0.5, 0.5], [0.5, 0.5]], "alphabet": 2.7}, "'alphabet': expected an integer"),
+        ({"P": [[0.5, 0.5], [0.5, 0.5]], "alphabet": "2"}, "'alphabet': expected an integer"),
     ],
-    ids=["no-P", "ragged", "null-entry"],
+    ids=["no-P", "ragged", "null-entry", "float-alphabet", "string-alphabet"],
 )
 def test_malformed_chain_file_is_an_input_error(chain, problem, tmp_path, capsys):
     path = tmp_path / "chain.json"
@@ -436,9 +439,20 @@ _ROW = {"rows": 1, "cols": 2, "data": ["10"]}
          "map into layer 1 is not full row rank"),
         ("simulate-det", {"widths": [1, 2], "R": [{"rows": 2, "cols": 1, "data": ["1", "1"]}]},
          "map into layer 1 is not full row rank"),
+        # int() would read each of these as a valid integer: 2.9 -> 2, True -> 1, "2" -> 2
+        ("simulate-det", {"widths": [2.9, 1], "R": [_ROW]}, "'widths': expected an integer"),
+        ("transform", {"N0": 2, "Nd": True, "A": _ROW, "B": dict(_ROW, cols=1, data=["1"])},
+         "'Nd': expected an integer"),
+        ("transform", {"N0": "2", "Nd": 1, "A": _ROW, "B": dict(_ROW, cols=1, data=["1"])},
+         "'N0': expected an integer"),
+        ("transform", {"N0": 2, "Nd": 1, "A": dict(_ROW, rows=1.5),
+                       "B": dict(_ROW, cols=1, data=["1"])}, "'A': 'rows': expected an integer"),
+        ("simulate-det", {"widths": [2, 1], "R": [dict(_ROW, cols=2.0)]},
+         "'R': 'cols': expected an integer"),
     ],
     ids=["det-no-R", "det-bad-row", "det-list", "transform-no-B", "det-rank-deficient",
-         "det-wider-layer"],
+         "det-wider-layer", "det-float-width", "transform-bool-Nd", "transform-string-N0",
+         "transform-float-rows", "det-float-cols"],
 )
 def test_malformed_spec_file_is_an_input_error(command, spec, problem, tmp_path, capsys):
     path = tmp_path / "spec.json"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -80,8 +82,10 @@ def test_rank_and_rref_match_dense_reference():
         m = gf2.BitMatrix.from_bits(bits)
         r_ref, rr_ref = dense_gauss(bits)
         assert gf2.rank(m) == r_ref, trial
-        reduced, pivots = gf2.rref(m)
-        assert np.array_equal(reduced.to_bits(), rr_ref), trial
+        words = m.words.copy()
+        r, pivots = gf2._reduce(words, cols)
+        assert r == r_ref, trial
+        assert np.array_equal(gf2._unpack_bits(words, cols), rr_ref), trial
         assert len(pivots) == r_ref
         assert list(pivots) == sorted(pivots)
         # the original matrix must be untouched
@@ -166,9 +170,11 @@ def test_solve_inconsistent_raises():
 
 def test_invert_roundtrip_or_singular():
     rng = np.random.default_rng(5)
-    n_ok = 0
+    n_ok = n_wide = 0
     for trial in range(120):
-        n = int(rng.integers(1, 60))
+        # up to three words per row: the inverse is read from the prefactored
+        # [A | I], where I starts at the word after A's last
+        n = int(rng.integers(1, 151))
         bits = rng.integers(0, 2, (n, n), dtype=np.uint8)
         m = gf2.BitMatrix.from_bits(bits)
         try:
@@ -178,9 +184,13 @@ def test_invert_roundtrip_or_singular():
             assert dense_gauss(bits)[0] < n
             continue
         n_ok += 1
+        n_wide += n > 64
         assert (m @ inv) == gf2.BitMatrix.identity(n)
         assert (inv @ m) == gf2.BitMatrix.identity(n)
-    assert n_ok > 10
+    assert n_ok > 10 and n_wide > 5
+    assert gf2.invert(gf2.BitMatrix.zeros(0, 0)) == gf2.BitMatrix.zeros(0, 0)
+    with pytest.raises(ValueError, match="^singular$"):
+        gf2.invert(gf2.BitMatrix.from_bits(np.eye(2, 3, dtype=np.uint8)))
 
 
 def test_independent_rows_decomposition():
@@ -257,20 +267,22 @@ def test_solve_unique_accepts_only_full_column_rank():
         a = gf2.BitMatrix.from_bits(ab)
         if gf2.rank(a) < c:
             continue
-        x_true = gf2.BitMatrix.from_bits(rng.integers(0, 2, (c, 2), dtype=np.uint8))
-        x = gf2.solve_unique(a, a @ x_true)
-        assert x == x_true  # unique, so it must be *the* solution
+        x_true = rng.integers(0, 2, (c, 2), dtype=np.uint8)
+        b = gf2.mul(ab, x_true)
+        solver = gf2.PrefactoredSolver(a)
+        for j in range(2):
+            # unique, so it must be *the* solution
+            assert np.array_equal(solver.solve_unique(b[:, j]), x_true[:, j])
     # a dependent column makes the system ambiguous even when solvable
-    wide = gf2.BitMatrix.from_bits(np.array([[1, 0, 1], [0, 1, 1]], np.uint8))
+    wide = gf2.PrefactoredSolver(gf2.BitMatrix.from_bits([[1, 0, 1], [0, 1, 1]]))
     with pytest.raises(ValueError, match="underdetermined"):
-        gf2.solve_unique(wide, gf2.BitMatrix.zeros(2, 1))
-    tall = gf2.BitMatrix.from_bits(np.array([[1, 1], [1, 1], [0, 0]], np.uint8))
+        wide.solve_unique(np.zeros(2, np.uint8))
+    tall = gf2.PrefactoredSolver(gf2.BitMatrix.from_bits([[1, 1], [1, 1], [0, 0]]))
     with pytest.raises(ValueError, match="underdetermined"):
-        gf2.solve_unique(tall, gf2.BitMatrix.zeros(3, 1))
-    bad = gf2.BitMatrix.from_bits(np.array([[1], [1]], np.uint8))
-    rhs = gf2.BitMatrix.from_bits(np.array([[1], [0]], np.uint8))
+        tall.solve_unique(np.zeros(3, np.uint8))
+    bad = gf2.PrefactoredSolver(gf2.BitMatrix.from_bits([[1], [1]]))
     with pytest.raises(ValueError, match="inconsistent"):
-        gf2.solve_unique(bad, rhs)
+        bad.solve_unique(np.array([1, 0], np.uint8))
 
 
 def test_prefactored_solver_matches_one_shot_solves():
@@ -297,8 +309,12 @@ def test_prefactored_solver_matches_one_shot_solves():
         if trial >= 25:
             rhs.append(gf2.mul(bits, rng.integers(0, 2, (c, 1), dtype=np.uint8))[:, 0])
         for b in rhs:
+            if solver.rank < c:
+                with pytest.raises(ValueError, match="underdetermined"):
+                    solver.solve_unique(b)
+                continue
             try:
-                want = gf2.solve_unique(a, gf2.BitMatrix.from_bits(b[:, None]))
+                want = gf2.solve(a, gf2.BitMatrix.from_bits(b[:, None]))
             except ValueError as exc:
                 with pytest.raises(ValueError, match=str(exc)):
                     solver.solve_unique(b)
@@ -317,6 +333,18 @@ def test_prefactored_solver_amortizes_a_tall_system():
         assert np.array_equal(solver.solve_unique(b), x_true)
     with pytest.raises(ValueError, match="row count mismatch"):
         solver.solve_unique(np.zeros(7, np.uint8))
+
+
+def test_all_lists_the_public_surface():
+    public = {
+        name
+        for name, obj in vars(gf2).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == gf2.__name__
+    }
+    assert all(hasattr(gf2, name) for name in gf2.__all__)
+    assert public <= set(gf2.__all__)
 
 
 def test_mul_matches_int64_reference():

@@ -175,6 +175,9 @@ def test_validation():
         rates.RateQuery(B=-1, W=0)
     with pytest.raises(InvalidInput):
         rates.r_delay(markov.BinarySymmetricChain(0.25), 0, -2)
+    # r_delay takes (B, T): no W to blame
+    with pytest.raises(InvalidInput, match="^B must be nonnegative$"):
+        rates.r_delay(markov.BinarySymmetricChain(0.25), -1, 0)
     with pytest.raises(InvalidInput):
         rates.gaussian_rate((0.5, 0.4), 1, 0)  # decreasing
     with pytest.raises(InvalidInput):
