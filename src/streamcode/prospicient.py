@@ -9,15 +9,19 @@ time's codeword across all n spatial copies.  The decoder has one
 rule, a joint linear solve over a window of received packets: after a
 burst of B' <= B erasures it buffers W+1 packets and solves for the
 (W+1)·n·N_0 fresh innovation bits plus the n·sum(N_{W+k}) deep-codeword
-bits the burst destroyed.  A steady step is the zero-erasure case of the
-same solve: one packet, whose n·N_0 innovation bits are the only
-unknowns, solved by the steady solver of its time.  A recovery window is
+bits the burst destroyed; a steady step is the zero-erasure case, one
+packet solved by the steady solver of its time.  A recovery window is
 composed from the steady solvers of its times: each packet gives its
 innovation as an affine function of the deep parts, and what its steady
 solver cannot absorb leaves check equations in the deep parts alone, one
-small system for the whole window.  Only when some time's innovation
-columns lack full column rank is the window solved as one stacked system.
-Everything outside the error-propagation window
+small system for the whole window (a stacked system only where some
+time's innovation columns lack full column rank).  Every symbol layer and
+codeword part is an earlier innovation pushed through the layer maps, and
+one rule (``BinCode._held``) says where the decoder holds each innovation:
+a layer of the last decoded symbol before the burst, a solved innovation
+in the window, the destroyed deep part at an erased time.  The known
+codeword parts, the emitted symbols and the columns each packet puts on
+the unknowns all read it.  Everything outside the error-propagation window
 [burst_start, burst_start+B'+W-1] is emitted bit-exactly; window times are
 emitted as explicit skip markers.
 
@@ -53,6 +57,9 @@ from .sources import DiagonalSourceSpec
 # back at most one burst plus its recovery window, and the longest horizon a
 # caller reuses one code over is 64 times, so reuse never rebuilds a solver.
 _HELD_TIMES = 128
+
+# holders of ``BinCode._held``: last symbol, window innovations, deep parts
+_PRE, _INNOV, _DEEP = range(3)
 
 
 def _part_widths(spec: DiagonalSourceSpec, B: int, W: int) -> tuple[int, ...]:
@@ -109,6 +116,8 @@ class BinCode:
             raise InvalidInput("need n >= 1")
         self.widths = self.spec.widths
         self.offs = [0, *accumulate(self.part_widths)]
+        # bits doffs[i]:doffs[i+1] of a window's deep unknowns: time first-1-i
+        self.doffs = [0, *accumulate(self.n * w for w in self.part_widths[1:])]
         self.r0_bits = self.offs[-1]
         self.in_bits = self.n * self.r0_bits
         if not 0 <= self.packet_bits <= self.in_bits:
@@ -197,29 +206,27 @@ class BinCode:
         A steady step is the case j0 = t, L = 1; a recovery deadline has
         bp = t-L+1-j0 >= 1 erased times and L = W+1, so (t, bp) fixes the
         system.  Unknowns: the innovation of each received time, plus the
-        deep codeword parts c_{t-W, 1..bp} the erasures destroyed.  Every
-        codeword bit of the received packets is affine in these, because
-        part k of time tau is the innovation of time tau-k pushed through
-        the layer products — and tau-k is either received (an unknown
-        innovation), erased (an unknown deep part), or before j0 (known,
-        propagated from ``pre``).
+        deep codeword parts c_{t-W, 1..bp} the erasures destroyed.  Part k
+        of the codeword of tau is the innovation of time tau-k pushed
+        through the layer products, and ``_held`` says where that is held:
+        in ``pre`` before j0 (known), in the window (an unknown innovation)
+        or at an erased time (an unknown deep part).  So every codeword bit
+        of the packets is affine in the unknowns, and once they are solved
+        the same rule builds the symbol at t.
 
         A steady step is one solve by the steady solver of time t.  A window
-        is composed from the steady solvers of its times (see ``_compose``):
-        a pass of steady solves with the deep parts set to zero, one small
-        solve for the deep parts, and one product that lifts them onto the
-        innovations.  When some time's innovation columns lack full column
-        rank, the window is solved as one stacked system instead.  Both
-        routes give the same bits and the same ``DecodeFailure`` text.
+        is composed from the steady solvers of its times (see ``_compose``),
+        or solved as one stacked system when some time's innovation columns
+        lack full column rank; both routes give the same bits and the same
+        ``DecodeFailure`` text.
         """
         n, n0 = self.n, self.widths[0]
         L = len(packets)
         first = t - L + 1
         bp = first - j0
         if L == 1 and bp == 0:
-            y = packets[0] ^ self.hash_vec(t, self._known(t, j0, first, pre, None))
-            u = _solve_bits(self._steady(t), y, t)
-            return self.assemble([u.reshape(n, n0)], [], (pre, 1))
+            u = _solve_bits(self._steady(t), self._rhs(t, packets[0], j0, first, pre), t)
+            return self._symbol(t, j0, first, pre, (u.reshape(n, n0),))
 
         # the coefficient matrices are fixed by the code and the key; only the
         # right-hand side (which folds in ``pre``) changes between decodes
@@ -230,10 +237,8 @@ class BinCode:
             self._solvers[key] = solver
         if isinstance(solver, _Composed):
             innov, checks = [], []
-            for tau, packet in zip(range(first, t + 1), packets):
-                y = gf2.BitVector.from_bits(
-                    packet ^ self.hash_vec(tau, self._known(tau, j0, first, pre, innov))
-                )
+            for tau, packet in enumerate(packets, first):
+                y = gf2.BitVector.from_bits(self._rhs(tau, packet, j0, first, pre, innov))
                 z = self._steady(tau).ops.mul_vec(y).to_bits()
                 innov.append(z[: n * n0].reshape(n, n0))
                 checks.append(z[n * n0 :])
@@ -241,63 +246,68 @@ class BinCode:
             lifted = solver.lift.mul_vec(gf2.BitVector.from_bits(deep)).to_bits()
             innov = np.concatenate(innov).reshape(-1) ^ lifted
         else:
-            rhs = [
-                packet ^ self.hash_vec(tau, self._known(tau, j0, first, pre, None))
-                for tau, packet in zip(range(first, t + 1), packets)
-            ]
+            rhs = [self._rhs(tau, p, j0, first, pre) for tau, p in enumerate(packets, first)]
             z = _solve_bits(solver, np.concatenate(rhs), t)
             innov, deep = z[: L * n * n0], z[L * n * n0 :]
-        dw = [self.widths[self.W + m] for m in range(1, bp + 1)]
-        doffs = [0, *accumulate(n * w for w in dw)]
-        return self.assemble(
-            list(innov.reshape(L, n, n0)),
-            [deep[doffs[m] : doffs[m + 1]].reshape(n, dw[m]) for m in range(bp)],
-            (pre, t - j0 + 1),
-        )
+        d = self.doffs
+        parts = [deep[d[i] : d[i + 1]].reshape(n, self.part_widths[i + 1]) for i in range(bp)]
+        return self._symbol(t, j0, first, pre, innov.reshape(L, n, n0), parts)
 
-    def _known(self, tau, j0, first, pre, innov) -> np.ndarray:
-        """The (n, r0_bits) codeword of time tau with its known parts filled
-        in: a part fed by a time before j0 comes from ``pre``, one fed by a
-        window time b >= first from ``innov[b - first]`` (unless ``innov``
-        is None); the innovation part and the parts fed by erased times
-        stay zero."""
-        W = self.W
+    def _held(self, b: int, j0: int, first: int) -> tuple[int, int, int]:
+        """Where a window of packets first..t after the erasures j0..first-1
+        holds the innovation of time b: (h, i, lo), layer lo of entry i of
+        holder h.  ``_PRE``, the symbol at j0-1, holds b < j0 at layer
+        j0-1-b; ``_INNOV`` holds b >= first at layer 0; ``_DEEP``, the deep
+        parts the erasures destroyed, holds erased b at layer W+first-b."""
+        if b < j0:
+            return _PRE, j0 - 1 - b, j0 - 1 - b
+        if b >= first:
+            return _INNOV, b - first, 0
+        return _DEEP, first - b - 1, self.W + first - b
+
+    def _feed(self, b: int, layer: int, j0: int, first: int, held) -> np.ndarray | None:
+        """The innovation of time b pushed to ``layer``, one product from
+        where ``held`` (the holders (pre, innov, deep) of ``_held``) holds
+        it, or None while it is unknown there."""
+        h, i, lo = self._held(b, j0, first)
+        src = held[h][i] if i < len(held[h]) else None
+        return src if src is None or layer == lo else gf2.mul(src, self.prod(layer, lo).T)
+
+    def _rhs(self, tau: int, packet: np.ndarray, j0: int, first: int, pre, innov=()) -> np.ndarray:
+        """Packet tau less the hash of its known codeword parts, with
+        ``innov`` the window's innovations solved so far: part k >= 1 is the
+        innovation of time tau-k pushed to layer W+k; unknown parts are zero."""
         base = np.zeros((self.n, self.r0_bits), np.uint8)
         for k in range(1, self.B + 1):
-            if self.part_widths[k] == 0:
-                continue
-            b = tau - k  # time whose innovation feeds this part
-            if b < j0:
-                lag = tau - j0 + 1  # pre is the symbol at j0-1
-                src, lo = pre[k - lag], k - lag
-            elif b >= first and innov is not None:
-                src, lo = innov[b - first], 0
-            else:
-                continue
-            base[:, self.offs[k] : self.offs[k + 1]] = gf2.mul(src, self.prod(W + k, lo).T)
-        return base
+            if self.part_widths[k]:
+                feed = self._feed(tau - k, self.W + k, j0, first, (pre, innov, ()))
+                if feed is not None:
+                    base[:, self.offs[k] : self.offs[k + 1]] = feed
+        return packet ^ self.hash_vec(tau, base)
+
+    def _symbol(self, t: int, j0: int, first: int, pre, innov, deep=()) -> list[np.ndarray]:
+        """The symbol at t: layer j is the innovation of time t-j pushed to layer j."""
+        held = (pre, innov, deep)
+        layers = [self._feed(t - j, j, j0, first, held) for j in range(self.spec.K + 1)]
+        assert all(x is not None for x in layers), "missing reconstruction dependency"
+        return layers
 
     def _reads(self, tau: int, first: int, j0: int):
-        """Packet tau's hash columns on each unknown it reads, as pairs
-        (b, bits): b >= first reads the innovation of time b (b = tau is its
-        own), an erased b < first the deep part that b's innovation became,
-        layer W + first - b of the deadline symbol; bits is a
-        (packet_bits, n * width) 0/1 array."""
-        n, W, rows = self.n, self.W, self.packet_bits
+        """Packet tau's hash columns on each unknown it reads, as triples
+        (h, i, bits) naming the unknown as ``_held`` does: part k of the
+        codeword reads the innovation of time tau-k (k = 0 its own), unless
+        ``pre`` holds it; bits is a (packet_bits, n * width) 0/1 array."""
+        n, rows = self.n, self.packet_bits
         h3 = self.matrix(tau).reshape(rows, n, self.r0_bits)
-        yield tau, h3[:, :, : self.widths[0]].reshape(rows, n * self.widths[0])
-        for k in range(1, self.B + 1):
-            if self.part_widths[k] == 0:
-                continue
-            b = tau - k
-            if b >= first:
-                lo = 0
-            elif b >= j0:
-                lo = W + first - b
-            else:
+        for k in range(self.B + 1):
+            layer = self.W + k if k else 0
+            h, i, lo = self._held(tau - k, j0, first)
+            if h == _PRE or self.part_widths[k] == 0:
                 continue
             cols = h3[:, :, self.offs[k] : self.offs[k + 1]]
-            yield b, gf2.mul(cols, self.prod(W + k, lo)).reshape(rows, n * self.widths[lo])
+            if layer != lo:
+                cols = gf2.mul(cols, self.prod(layer, lo))
+            yield h, i, cols.reshape(rows, n * self.widths[lo])
 
     def _steady(self, tau: int) -> gf2.PrefactoredSolver:
         """The cached solver of key (tau, 0), over the innovation columns
@@ -312,15 +322,13 @@ class BinCode:
         """One solver over the stacked system of the packets first..t after
         bp erasures; unknown blocks: the L innovations in time order, then
         the deep parts of times first-1, first-2, ..."""
-        n, L = self.n, t - first + 1
-        zw = [self.widths[0]] * L + [self.widths[self.W + m] for m in range(1, bp + 1)]
-        zoffs = [0, *accumulate(n * w for w in zw)]
+        inn, L = self.n * self.widths[0], t - first + 1
         blocks = []
         for tau in range(first, t + 1):
-            acc = np.zeros((self.packet_bits, zoffs[-1]), np.uint8)
-            for b, bits in self._reads(tau, first, first - bp):
-                i = b - first if b >= first else L + first - b - 1
-                acc[:, zoffs[i] : zoffs[i + 1]] ^= bits
+            acc = np.zeros((self.packet_bits, L * inn + self.doffs[bp]), np.uint8)
+            for h, i, bits in self._reads(tau, first, first - bp):
+                c = i * inn if h == _INNOV else L * inn + self.doffs[i]
+                acc[:, c : c + bits.shape[1]] ^= bits
             blocks.append(acc)
         return gf2.PrefactoredSolver(gf2.BitMatrix.from_bits(np.concatenate(blocks)))
 
@@ -339,21 +347,18 @@ class BinCode:
         their rank deficit and their consistency, hence every decoded bit
         and every failure message.
         """
-        doffs = [0, *accumulate(self.n * self.widths[self.W + m] for m in range(1, bp + 1))]
+        d = self.doffs
         lifts, checks = [], []
         for tau in range(first, t + 1):
             steady = self._steady(tau)
             if steady.rank < steady.cols:
                 return None
-            reads = np.zeros((self.packet_bits, doffs[-1]), np.uint8)
-            for b, bits in self._reads(tau, first, first - bp):
-                if b == tau:
-                    continue
-                if b >= first:
-                    reads ^= gf2.mul(bits, lifts[b - first])
-                else:
-                    m = first - b
-                    reads[:, doffs[m - 1] : doffs[m]] ^= bits
+            reads = np.zeros((self.packet_bits, d[bp]), np.uint8)
+            for h, i, bits in self._reads(tau, first, first - bp):
+                if h == _DEEP:
+                    reads[:, d[i] : d[i + 1]] ^= bits
+                elif first + i < tau:  # an earlier innovation, through its lift
+                    reads ^= gf2.mul(bits, lifts[i])
             moved = gf2.mul(steady.ops.to_bits(), reads)
             lifts.append(moved[: steady.cols])
             checks.append(moved[steady.cols :])
@@ -361,26 +366,6 @@ class BinCode:
             gf2.PrefactoredSolver(gf2.BitMatrix.from_bits(np.concatenate(checks))),
             gf2.BitMatrix.from_bits(np.concatenate(lifts)),
         )
-
-    def assemble(
-        self,
-        innovations: Sequence[np.ndarray],
-        deep_parts: Sequence[np.ndarray],
-        anchor: tuple[Sequence[np.ndarray], int],
-    ) -> list[np.ndarray]:
-        # a steady step brings one innovation, a recovery window W+1
-        K, w = self.spec.K, len(innovations) - 1
-        layers: list = [None] * (K + 1)
-        layers[0] = np.asarray(innovations[-1], np.uint8)
-        for j in range(1, min(w, K) + 1):
-            layers[j] = gf2.mul(innovations[-1 - j], self.prod(j, 0).T)
-        for k, part in enumerate(deep_parts, start=1):
-            layers[w + k] = np.asarray(part, np.uint8)
-        src, delta = anchor
-        for j in range(w + len(deep_parts) + 1, K + 1):
-            layers[j] = gf2.mul(src[j - delta], self.prod(j, j - delta).T)
-        assert all(l is not None for l in layers), "missing reconstruction dependency"
-        return layers
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 
@@ -183,6 +184,51 @@ def test_transform_one_shot_route(capsys):
     assert artifact["route"] == "one-shot"
     assert artifact["checks"]["roundtrip_exact"] is True
     assert artifact["checks"]["coupling_solved"] is True
+
+
+def test_transform_one_shot_route_runs_six_eliminations(capsys, monkeypatch):
+    # rank(A) for the route and again in case1_transform; in lb_transform the
+    # rank and the solve of the coupling block, the derived spec's check and
+    # the map's inverse; the CLI reads X off the map instead of solving again
+    calls = []
+    reduce = gf2._reduce
+    monkeypatch.setattr(gf2, "_reduce", lambda *a, **k: calls.append(a) or reduce(*a, **k))
+    assert run_cli(["transform", "--random-seed", "3"], capsys)[0] == 0
+    assert len(calls) == 6
+
+
+# SHA-256 of stdout for cheap fixed-seed runs whose output is only integers
+# and bits: a change that moves any decoded bit or transform entry shows here
+GOLDEN = {
+    "simulate-det-B1-W1": (
+        ["simulate-det", "--seed", "1", "--n", "16", "--T", "12", "--trials", "2"],
+        "064e9a861d4eadbba6133a40d7ca7a6f3d7f76787219346d4b0c69ae910f5f24",
+    ),
+    "simulate-det-B2-W2": (
+        ["simulate-det", "--B", "2", "--W", "2", "--widths", "3,2,1,1,1", "--n", "8",
+         "--T", "10", "--trials", "1", "--seed", "4"],
+        "d0f9382def360d0bc6a8ea190a7662bde50ff6d256c9d281b5b05ba209693f34",
+    ),
+    "transform-3": (
+        ["transform", "--random-seed", "3"],
+        "2cda62939ac8fb45ade194993dea080b53d8ca12262713758658857d93286e35",
+    ),
+    "transform-5": (
+        ["transform", "--random-seed", "5"],
+        "6b1fdcfe641b5baf6bf85742ca92de3ca4933f02f459db9582af76ad46f32ac5",
+    ),
+    "transform-11": (
+        ["transform", "--random-seed", "11"],
+        "e92ce74780ee59ff5d51cdf25b108af45471a4d5245877948a186d664bacf91d",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN.values(), ids=GOLDEN.keys())
+def test_cli_output_stays_byte_identical(argv, digest, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_transform_peel_route_from_spec_file(tmp_path, capsys):

@@ -281,6 +281,32 @@ def test_recovery_on_padded_shallow_spec():
     check_outputs(trace, out, window=range(4, 6))
 
 
+@pytest.mark.parametrize("shape", ["random", "padded"])
+@pytest.mark.parametrize("B, W", [(B, W) for B in range(3) for W in range(3)])
+def test_every_burst_decodes_bit_exactly_on_both_codes(B, W, shape):
+    # every burst start and length <= B, and the clean stream; "padded" is a
+    # spec one layer short that normalize_K pads, so the deep part of the last
+    # burst slot has width zero; the binned code (delta=16) bins wherever the
+    # rate leaves room, and the other code is the identity
+    rng = np.random.default_rng([B, W])
+    K = B + W if shape == "random" else max(B + W - 1, 0)
+    spec = sources.normalize_K(sources.random_diagonal_spec(rng, K=K, max_width=3), B, W).spec
+    n, T = 64, 9
+    trace = sources.gen_diagonal(spec, n, T, seed=3 * B + W)
+    tail = symbol_at(trace, -1) if spec.K else []  # a K = 0 source has no tail
+    bursts = [(j, blen) for blen in range(1, B + 1) for j in range(T - blen + 1)]
+    for delta in (16, n * sum(spec.widths)):
+        code = prospicient.design_bincode(spec, B, W, n, delta=delta, seed=B + 3 * W)
+        no_room = rates.diagonal_rate(spec.widths, B, W) == code.r0_bits
+        assert code.identity_mode == (delta > 16 or no_room)
+        stream = prospicient.encode(trace, spec, B, W, code)
+        check_outputs(trace, prospicient.decode_stream(stream, code, tail))
+        for j, blen in bursts:
+            pattern = channel.single_burst(j, blen, T)
+            out = prospicient.decode_stream(stream.with_erasures(pattern), code, tail)
+            check_outputs(trace, out, channel.recovery_window(pattern, B, W))
+
+
 def test_burst_running_off_the_horizon_skips_the_tail():
     spec = unit_chain(2)
     B, W, n, T = 1, 1, 8, 10
