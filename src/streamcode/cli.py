@@ -254,7 +254,7 @@ _DET = [
     ("spec", _STR, None, "JSON layered-source spec file"),
     ("widths", _INTS, (3, 2, 1), "layer widths for a seeded random spec"),
     ("spec_seed", _SEED, 0),
-    ("B", _INT, 1),
+    ("B", _COUNT, 1),
     ("W", _INT, 1),
     ("n", _INT, 64),
     ("delta", _INT, 8),

@@ -3,8 +3,17 @@
 Matrices are stored row-major, 64 columns to a ``uint64`` word, least
 significant bit first.  Everything rests on two routines:
 
-* :func:`mul`, the one dense product of 0/1 arrays; ``BitMatrix @`` and
-  every layer-map product of the codec go through it.
+* :func:`mul`, the one dense product of 0/1 arrays; every layer-map
+  product of the codec goes through it.  It has three routes, picked from
+  the shape alone.  With at least 64 left rows and 2**25 multiply-adds,
+  ``_mul_words`` multiplies packed words: for each 64-column word of the
+  left operand, the 256-entry XOR tables of ``_table_xor`` combine the
+  right operand's rows that the word's bits name (M4RM), so every entry
+  stays one bit until the result is unpacked.  Below that, float32 BLAS
+  from 2**12 multiply-adds (exact while the inner dimension stays below
+  2**24), and a uint8 matmul for the rest.  ``BitMatrix @`` takes the
+  packed route on its own words under the same rule, and :func:`mul`'s
+  other routes otherwise.
 * ``_reduce``, one in-place Gauss-Jordan pass over the packed rows: each
   pivot is XORed into every other row holding its column, above and below
   alike.  It runs one 64-column stripe (one word) at a time, after M4RI: a
@@ -42,6 +51,9 @@ _ONE = np.uint64(1)
 _BITS = _ONE << np.arange(64, dtype=np.uint64)
 # multiply-adds at which a float32 BLAS product overtakes the uint8 loop
 _BLAS_MIN_OPS = 1 << 12
+# multiply-adds at which, given 64 left rows, the packed product overtakes
+# float32 BLAS; below 64 rows it never does
+_PACKED_MIN_OPS = 1 << 25
 # float32 holds every integer below this, so shorter dot products are exact
 _FLOAT32_EXACT = 1 << 24
 
@@ -67,18 +79,46 @@ def _unpack_bits(words: np.ndarray, cols: int) -> np.ndarray:
 def mul(a, b) -> np.ndarray:
     """GF(2) product of 0/1 arrays: ``(..., k) @ (k, m)`` as uint8 bits.
 
-    Small products use a uint8 matmul (wrap-around mod 256 keeps the
-    parity); large ones use float32 BLAS, which is exact only while the
-    inner dimension stays below 2**24, so longer ones stay on uint8.
+    Three routes, picked from the shape alone.  With at least 64 left rows
+    (the leading axes of ``a`` together) and 2**25 multiply-adds, the
+    product runs packed in :func:`_mul_words`, at one bit per entry until
+    the result is unpacked.  Other products of 2**12 multiply-adds or more
+    use float32 BLAS, which is exact only while the inner dimension stays
+    below 2**24; the rest, and longer inner dimensions, use a uint8 matmul,
+    whose wrap-around mod 256 keeps the parity.
     """
     a = np.asarray(a, np.uint8)
     b = np.asarray(b, np.uint8)
-    k = b.shape[0]
-    if a.size * b.shape[1] < _BLAS_MIN_OPS or k >= _FLOAT32_EXACT:
-        return (a @ b) & 1
-    prod = a.reshape(-1, k).astype(np.float32) @ b.astype(np.float32)
-    bits = (prod.astype(np.int32) & 1).astype(np.uint8)
-    return bits.reshape(a.shape[:-1] + (b.shape[1],))
+    k, m = b.shape
+    # the packed rule implies this one, and most products fail it at once
+    if a.size * m >= _BLAS_MIN_OPS:
+        rows = a.size // k
+        if _packed_wins(rows, k, m):
+            words = _mul_words(_pack_bits(a.reshape(rows, k)), _pack_bits(b))
+            return _unpack_bits(words, m).reshape(a.shape[:-1] + (m,))
+        if k < _FLOAT32_EXACT:
+            prod = a.reshape(rows, k).astype(np.float32) @ b.astype(np.float32)
+            bits = (prod.astype(np.int32) & 1).astype(np.uint8)
+            return bits.reshape(a.shape[:-1] + (m,))
+    return (a @ b) & 1
+
+
+def _packed_wins(rows: int, k: int, m: int) -> bool:
+    """Whether a (rows, k) @ (k, m) product takes the packed route."""
+    return rows >= 64 and rows * k * m >= _PACKED_MIN_OPS
+
+
+def _mul_words(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Packed GF(2) product of the row words ``a`` (rows x words) and ``b``
+    (one row per column of ``a``): for each 64-column word of ``a``,
+    :func:`_table_xor` XORs together the 64 rows of ``b`` its bits name
+    (Method of Four Russians).  Bits of ``a`` past the last row of ``b``
+    are ignored."""
+    out = np.zeros((a.shape[0], b.shape[1]), np.uint64)
+    stripes = np.ascontiguousarray(a.T)
+    for s in range(min(a.shape[1], _n_words(b.shape[0]))):
+        out ^= _table_xor(b[s << 6 : (s + 1) << 6], stripes[s])
+    return out
 
 
 class BitMatrix:
@@ -155,6 +195,8 @@ class BitMatrix:
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
+        if _packed_wins(self.rows, self.cols, other.cols):
+            return BitMatrix(self.rows, other.cols, _mul_words(self.words, other.words))
         return BitMatrix.from_bits(mul(self.to_bits(), other.to_bits()))
 
     def mul_vec(self, vec: "BitVector") -> "BitVector":
@@ -200,7 +242,7 @@ def vstack(mats: Sequence[BitMatrix]) -> BitMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ValueError("column count mismatch")
-    return BitMatrix.from_bits(np.concatenate([m.to_bits() for m in mats], axis=0))
+    return BitMatrix(sum(m.rows for m in mats), cols, np.concatenate([m.words for m in mats]))
 
 
 class BitVector:

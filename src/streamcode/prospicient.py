@@ -162,8 +162,10 @@ class BinCode:
         # byte, taking the bytes of each 64-bit word low to high
         bits = self.packet_bits * self.in_bits
         raw = np.random.PCG64([self.seed, t]).random_raw(-(-bits // 8))
-        top = raw.astype("<u8", copy=False).view(np.uint8)[:bits] >> 7
-        return gf2.BitMatrix.from_bits(top.reshape(self.packet_bits, self.in_bits))
+        top = raw.astype("<u8", copy=False).view(np.uint8)[:bits]
+        top >>= 7
+        shape = (self.packet_bits, self.in_bits)
+        return gf2.BitMatrix(*shape, gf2._pack_bits(top.reshape(shape)))
 
     def hash_vec(self, t: int, vec: np.ndarray) -> np.ndarray:
         """Apply the time-t hash to an (n, r0_bits) codeword array."""
@@ -347,25 +349,22 @@ class BinCode:
         their rank deficit and their consistency, hence every decoded bit
         and every failure message.
         """
+        steadies = [self._steady(tau) for tau in range(first, t + 1)]
+        if any(steady.rank < steady.cols for steady in steadies):
+            return None
         d = self.doffs
         lifts, checks = [], []
-        for tau in range(first, t + 1):
-            steady = self._steady(tau)
-            if steady.rank < steady.cols:
-                return None
+        for tau, steady in enumerate(steadies, first):
             reads = np.zeros((self.packet_bits, d[bp]), np.uint8)
             for h, i, bits in self._reads(tau, first, first - bp):
                 if h == _DEEP:
                     reads[:, d[i] : d[i + 1]] ^= bits
                 elif first + i < tau:  # an earlier innovation, through its lift
-                    reads ^= gf2.mul(bits, lifts[i])
-            moved = gf2.mul(steady.ops.to_bits(), reads)
-            lifts.append(moved[: steady.cols])
-            checks.append(moved[steady.cols :])
-        return _Composed(
-            gf2.PrefactoredSolver(gf2.BitMatrix.from_bits(np.concatenate(checks))),
-            gf2.BitMatrix.from_bits(np.concatenate(lifts)),
-        )
+                    reads ^= (gf2.BitMatrix.from_bits(bits) @ lifts[i]).to_bits()
+            moved = (steady.ops @ gf2.BitMatrix.from_bits(reads)).words
+            lifts.append(gf2.BitMatrix(steady.cols, d[bp], moved[: steady.cols]))
+            checks.append(gf2.BitMatrix(steady.rows - steady.cols, d[bp], moved[steady.cols :]))
+        return _Composed(gf2.PrefactoredSolver(gf2.vstack(checks)), gf2.vstack(lifts))
 
 
 @dataclass(frozen=True)

@@ -368,9 +368,7 @@ def apply_map(m: LinearMap, trace: StreamTrace) -> StreamTrace:
         data = data[:, :, :keep].copy()
         data[:, :, m.in_widths[0] :] ^= u
         meta["drop_anchor"] = anchor.tolist()
-    size = data.shape[2]
-    flat = data.reshape(-1, size)
-    out = gf2.mul(flat, m.matrix.to_bits().T).reshape(steps, trace.n, size)
+    out = gf2.mul(data, m.matrix.to_bits().T)
     subs, tails = _split(out, m.out_widths, trace.tail_depth)
     return StreamTrace(
         kind="diagonal",
@@ -389,9 +387,7 @@ def invert_map(m: LinearMap, trace: StreamTrace) -> StreamTrace:
         raise InvalidInput("trace widths do not match the map output")
     data = _timeline(trace)
     steps = data.shape[0]
-    size = data.shape[2]
-    flat = data.reshape(-1, size)
-    back = gf2.mul(flat, m.inverse_matrix().to_bits().T).reshape(steps, trace.n, size)
+    back = gf2.mul(data, m.inverse_matrix().to_bits().T)
     meta = dict(trace.meta)
     if m.drop is not None:
         stored = meta.pop("drop_anchor", None)

@@ -250,6 +250,23 @@ def test_transform_peel_route_from_spec_file(tmp_path, capsys):
     assert len(artifact["maps"]) == 2
 
 
+@pytest.mark.parametrize("n0, nd", [(0, 0), (0, 1), (0, 2), (2, 0)])
+def test_transform_accepts_zero_width_layers(n0, nd, tmp_path, capsys):
+    # zero-width symbols give a timeline with no entries, which must still map and invert
+    spec = SemiDetSpec(
+        N0=n0,
+        Nd=nd,
+        A=gf2.BitMatrix.zeros(nd, n0),
+        B=gf2.BitMatrix.identity(nd),
+    )
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_json()))
+    code, out, err = run_cli(["transform", "--spec", str(path), "--symbols", "8"], capsys)
+    assert (code, err) == (0, "")
+    checks = json.loads(out)["checks"]
+    assert checks["roundtrip_exact"] is True and checks["derived_valid"] is True
+
+
 def test_oracle_full_rate_never_errs(capsys):
     code, out, _ = run_cli(
         ["oracle", "--flip", "0.5", "--B", "1", "--W", "0", "--rate", "1.0",
@@ -417,12 +434,14 @@ def test_negative_seed_is_an_input_error(argv, name, tmp_path, capsys):
         (["simulate-det", "--trials", "-1"], "trials"),
         (["simulate-det", "--T", "-1"], "T"),
         (["simulate-det", "--T", "0"], "T"),
+        # burst lengths run 1..B, so B = 0 would stream nothing
+        (["simulate-det", "--B", "0"], "B"),
         (["simulate-det", "--jobs", "-2"], "jobs"),
         (["sweep", "--flip", "0.25", "--jobs", "0"], "jobs"),
         (["oracle", "--flip", "0.25", "--trials", "0"], "trials"),
         (["sweep", "--flip", "0.25", "--trials", "0"], "trials"),
     ],
-    ids=["det-trials", "det-T-negative", "det-T-zero", "det-jobs", "sweep-jobs",
+    ids=["det-trials", "det-T-negative", "det-T-zero", "det-B-zero", "det-jobs", "sweep-jobs",
          "oracle-trials", "sweep-trials"],
 )
 def test_nonpositive_count_is_an_input_error(argv, name, tmp_path, capsys):

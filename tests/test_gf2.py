@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,3 +382,73 @@ def test_mul_matches_int64_reference():
     # has odd parity that a float32 sum would round away
     k = (1 << 24) + 1
     assert gf2.mul(np.ones((1, k), np.uint8), np.ones((k, 1), np.uint8)).tolist() == [[1]]
+
+
+# Shapes around the packed product's rule (64 left rows, 2**25 multiply-adds):
+# left rows on both sides of 64, inner widths on both sides of a word edge,
+# output widths from one bit to five words, a 3-D left operand, empty axes
+PACKED_EDGE_SHAPES = [
+    ((rows, k), (k, m))
+    for rows in (63, 64, 65)
+    for k in (64, 65, 129, 352)
+    for m in (1, 63, 64, 65, 320)
+] + [
+    ((2, 33, 129), (129, 65)),  # 66 left rows together
+    ((65, 1, 352), (352, 64)),
+    ((64, 0), (0, 65)),
+    ((0, 352), (352, 65)),
+    ((65, 352), (352, 0)),
+    ((0, 64, 65), (65, 3)),
+    # the rule's edge: exactly 2**25 multiply-adds, then one row or column fewer
+    ((64, 512), (512, 1024)),
+    ((63, 512), (512, 1024)),
+    ((64, 512), (512, 1023)),
+]
+
+
+@pytest.mark.parametrize("min_ops", [gf2._PACKED_MIN_OPS, 0], ids=["rule", "packed-from-64-rows"])
+def test_mul_and_matmul_match_int64_reference_around_the_packed_rule(min_ops, monkeypatch):
+    monkeypatch.setattr(gf2, "_PACKED_MIN_OPS", min_ops)
+    rng = np.random.default_rng(37)
+    n_packed = 0
+    for a_shape, b_shape in PACKED_EDGE_SHAPES:
+        k, m = b_shape
+        rows = int(np.prod(a_shape[:-1]))
+        n_packed += gf2._packed_wins(rows, k, m)
+        for fill in ("random", "ones"):
+            if fill == "ones":
+                a, b = np.ones(a_shape, np.uint8), np.ones(b_shape, np.uint8)
+            else:
+                a = rng.integers(0, 2, a_shape, dtype=np.uint8)
+                b = rng.integers(0, 2, b_shape, dtype=np.uint8)
+            want = ((a.astype(np.int64) @ b.astype(np.int64)) & 1).astype(np.uint8)
+            case = (a_shape, b_shape, fill)
+            got = gf2.mul(a, b)
+            assert got.dtype == np.uint8 and got.shape == want.shape, case
+            assert np.array_equal(got, want), case
+            if a.ndim == 2:
+                prod = gf2.BitMatrix.from_bits(a) @ gf2.BitMatrix.from_bits(b)
+                # words, not just bits: the padding past the last column stays zero
+                assert prod == gf2.BitMatrix.from_bits(want), case
+    if min_ops:
+        assert gf2._packed_wins(64, 512, 1024)
+        assert not gf2._packed_wins(63, 512, 1024) and not gf2._packed_wins(64, 512, 1023)
+        assert n_packed == 1
+    else:
+        assert n_packed == 46
+
+
+def test_packed_product_peak_stays_below_one_float32_copy():
+    # the bound is the data layout: a float32 copy of the left operand alone
+    # takes 4 bytes per bit, the packed route one bit per bit until it unpacks
+    rng = np.random.default_rng(41)
+    a = rng.integers(0, 2, (520, 520), dtype=np.uint8)
+    b = rng.integers(0, 2, (520, 320), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        got = gf2.mul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (520, 320)
+    assert peak < 520 * 520 * 4
