@@ -47,7 +47,7 @@ from .sources import (
     random_semidet_spec,
 )
 from .sw_binning import periodic_delay_run, streaming_sw_experiment
-from .transforms import apply_map, case1_transform, invert_map, lb_transform, lf_transform
+from .transforms import apply_map, invert_map, lb_transform, lf_transform
 
 
 class _Parser(argparse.ArgumentParser):
@@ -402,23 +402,25 @@ def cmd_transform(p: argparse.Namespace) -> None:
     trace = gen_semidet(spec, n=n, T=T, seed=0)
 
     checks: dict = {"symbols": T, "copies": n}
-    if gf2.rank(spec.A) == spec.Nd:
+    fmap, tri = lf_transform(spec)
+    bmap, diag = lb_transform(tri)
+    if tri.K == 1 and bmap.drop is None:
+        # A has full row rank: the forward map is the identity, and the
+        # backward map folds X s_d into the innovation, where X, the
+        # solution of A X = B, is its top-right N0 x Nd block
         route = "one-shot"
-        lmap, diag = case1_transform(spec)
-        maps = [lmap]
-        # the map folds X s_d into the innovation: X, the solution of
-        # A X = B, is its top-right N0 x Nd block
-        x = gf2.BitMatrix.from_bits(lmap.matrix.to_bits()[: spec.N0, spec.N0 :])
+        maps = [bmap]
+        x = gf2.BitMatrix.from_bits(bmap.matrix.to_bits()[: spec.N0, spec.N0 :])
         checks["coupling_solved"] = bool((spec.A @ x) == spec.B)
-        moved = apply_map(lmap, trace)
-        back = invert_map(lmap, moved)
     else:
         route = "peel-cancel"
-        fmap, tri = lf_transform(spec)
-        bmap, diag = lb_transform(tri)
         maps = [fmap, bmap]
-        moved = apply_map(bmap, apply_map(fmap, trace))
-        back = invert_map(fmap, invert_map(bmap, moved))
+    moved = trace
+    for m in maps:
+        moved = apply_map(m, moved)
+    back = moved
+    for m in reversed(maps):
+        back = invert_map(m, back)
     checks["derived_valid"] = True  # lb_transform validated the derived spec
     same = all(
         np.array_equal(back.sub[j], trace.sub[j]) and np.array_equal(back.tail[j], trace.tail[j])

@@ -166,12 +166,6 @@ class SRCodec:
     shift: np.ndarray = field(repr=False)  # carrier index offset per slot
     group_bits: tuple[int, ...] = ()  # wire bits per group, per layer
 
-    @property
-    def carrier_step(self) -> np.ndarray:
-        if self.carrier is None:
-            return np.zeros(self.group)
-        return self.step0 * 2.0 ** self.below[self.carrier]
-
     def layer_widths(self, n: int) -> tuple[int, ...]:
         """Wire bits per layer for an n-sample block."""
         g = self._groups(n)
@@ -192,12 +186,11 @@ class SRCodec:
         return n // self.group
 
     def _dither(self, n: int, time: int, seed: int) -> np.ndarray:
-        """Per-sample dither, uniform over the coarsest cell of each slot."""
-        g = n // self.group
-        if self.carrier is None:
-            return np.zeros((g, self.group))
+        """Per-sample dither, uniform over the carrier's cell in each slot.
+        A codec without a carrier sends no bits and draws no dither."""
         rng = np.random.default_rng([0xD17, seed, time & _TIME_MASK])
-        return (rng.random((g, self.group)) - 0.5) * self.carrier_step
+        carrier_step = self.step0 * 2.0 ** self.below[self.carrier]
+        return (rng.random((n // self.group, self.group)) - 0.5) * carrier_step
 
 
 def sr_codec(rates: LayerRates) -> SRCodec:
@@ -484,7 +477,7 @@ def gaussian_pipeline(
     ----------
     d, B, W : targets and channel design bounds.
     n, T : samples per time block and number of streamed blocks.
-    burst : None, a (start, length) pair, or an ErasurePattern over T times.
+    burst : None (no erasure) or a (start, length) pair of one burst.
     mode : "ideal" delivers digit blocks verbatim and only tracks which
         packets carried them; "binned" hashes the rearranged bit source
         into packets and runs the streaming decoder on what survives.
@@ -495,6 +488,13 @@ def gaussian_pipeline(
     Returns a DistortionReport; raises PatternViolation when the erasures
     break the (B, W) contract and InvariantViolation if the realized rate
     accounting drifts from the closed form.
+
+    ``rate["per_sample"]`` is that closed-form accounting of the layer
+    split, not the bits a packet spends: the carrier layer ships whole
+    clamped grid indices at a fixed length, so ``rate["per_sample_wire"]``
+    and, in binned mode, ``rate["packet_bits"] / n`` are several times
+    larger.  At d=(0.5, 0.6, 0.70710678), B=W=1, n=128 it reads 0.625,
+    while a binned packet carries 520 bits, 4.06 bits/sample.
     """
     rates_split = layer_rates(d, B, W)
     codec = sr_codec(rates_split)
@@ -506,15 +506,8 @@ def gaussian_pipeline(
         raise InvalidInput(f"delta must be nonnegative, got {delta}")
     K = B + W
     lead = 2 * K
-    if burst is None:
-        pattern = channel.single_burst(0, 0, T)
-    elif isinstance(burst, channel.ErasurePattern):
-        pattern = burst
-    else:
-        start, length = burst
-        pattern = channel.single_burst(int(start), int(length), T)
-    if pattern.T != T:
-        raise InvalidInput("erasure pattern horizon must equal T")
+    start, length = (0, 0) if burst is None else burst
+    pattern = channel.single_burst(int(start), int(length), T)
     window = channel.recovery_window(pattern, B, W)
 
     rng = np.random.default_rng([seed, 0])

@@ -131,7 +131,7 @@ def _pair_scores(logt: np.ndarray, da: np.ndarray, db: np.ndarray) -> np.ndarray
 
 def ml_decode(
     bins: Sequence[int],
-    side_info: Sequence[int] | None,
+    side_info: Sequence[int],
     chain: FiniteMarkovChain,
     times: Sequence[int],
     *,
@@ -145,8 +145,7 @@ def ml_decode(
 
     Args:
         bins: one bin index per unknown block, aligned with ``times``.
-        side_info: the known block ``side_gap`` steps before ``times[0]``,
-            or None to fall back on the stationary law.
+        side_info: the known block ``side_gap`` steps before ``times[0]``.
         times: consecutive time indices of the unknown blocks (each block
             was hashed with its own time salt).
         _tables: private; the caller's read-only ``_hash_all`` tables for
@@ -184,14 +183,11 @@ def ml_decode(
 
     logt = _log_safe(chain.P)
     d0 = cand_digits[0]
-    if side_info is None:
-        prior = _log_safe(chain.pi)[d0].sum(axis=1)
-    else:
-        side = np.asarray(side_info, np.int64)
-        if side.shape != (n,):
-            raise InvalidInput("side info must be one length-n block")
-        logg = _log_safe(k_step(chain, side_gap))
-        prior = logg[side[None, :], d0].sum(axis=1)
+    side = np.asarray(side_info, np.int64)
+    if side.shape != (n,):
+        raise InvalidInput("side info must be one length-n block")
+    logg = _log_safe(k_step(chain, side_gap))
+    prior = logg[side[None, :], d0].sum(axis=1)
 
     # max-sum pass from the back: beta[l][i] = best score of any suffix
     # starting at block l candidate i; counts track optimum multiplicity

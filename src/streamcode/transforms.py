@@ -8,6 +8,11 @@ sub-diagonal, one row block per step from the bottom up.  A zero terminal
 sub-diagonal block means that layer never receives fresh content; it is
 split off as a decoder-computable side stream instead of being folded into
 the matrix.
+
+Every two-layer source takes this one route.  When the coupling A has full
+row rank the forward pass peels nothing (its map is the identity and the
+triangular spec keeps two widths), and the backward pass is a single step
+that folds X s_d, with A X = B, into the innovation.
 """
 
 from __future__ import annotations
@@ -189,19 +194,6 @@ class LinearMap:
         }
 
 
-def case1_transform(spec: SemiDetSpec) -> tuple[LinearMap, DiagonalSourceSpec]:
-    """One-shot reduction when the innovation coupling has full row rank.
-
-    This is :func:`lb_transform`'s one backward step: solving A X = B and
-    folding X s_{i,d} into the innovation makes the deterministic layer a
-    function of the previous (adjusted) innovation alone.  The map is its
-    own inverse.
-    """
-    if gf2.rank(spec.A) != spec.Nd:
-        raise InvalidInput("use lf/lb pipeline")
-    return lb_transform(UpperTriSpec((spec.N0, spec.Nd), {(1, 0): spec.A, (1, 1): spec.B}))
-
-
 def lf_transform(spec: SemiDetSpec) -> tuple[LinearMap, UpperTriSpec]:
     """Peel the deterministic part into layers, innermost first.
 
@@ -210,33 +202,35 @@ def lf_transform(spec: SemiDetSpec) -> tuple[LinearMap, UpperTriSpec]:
     depend independently become the next layer; dependent rows get the
     matching combination of independent rows added so that dependence
     cancels, and are reconsidered in the next round.  The loop stops when
-    the residual dependence is full row rank or vanishes entirely.
+    the residual dependence is full row rank or vanishes entirely; Nd = 0
+    stops at once with an empty deterministic layer.  The triangular result
+    is checked by :func:`lb_transform`, which validates its input.
     """
     n0, nd = spec.N0, spec.Nd
     a = spec.A.to_bits()
     b = spec.B.to_bits()
-    if nd == 0:
-        lmap = LinearMap(gf2.BitMatrix.identity(n0), (n0, nd), (n0,))
-        return lmap, UpperTriSpec((n0,), {})
     g = np.eye(nd, dtype=np.uint8)
+    ginv = np.eye(nd, dtype=np.uint8)
     widths = [n0]
     fixed = 0
     prev = n0
     for _ in range(nd + 1):
-        ginv = gf2.invert(gf2.BitMatrix.from_bits(g)).to_bits()
         phi = np.concatenate([gf2.mul(g, a), gf2.mul(gf2.mul(g, b), ginv)], axis=1)
         rem = nd - fixed
         acur = phi[fixed:, n0 + fixed - prev : n0 + fixed]
-        r = gf2.rank(gf2.BitMatrix.from_bits(acur))
+        perm, v = gf2.independent_rows(gf2.BitMatrix.from_bits(acur))
+        r = v.cols
         if r == rem or r == 0:
             widths.append(rem)
             break
-        perm, v = gf2.independent_rows(gf2.BitMatrix.from_bits(acur))
         reorder = np.zeros((rem, rem), np.uint8)
         reorder[np.arange(rem), perm] = 1
         cancel = np.eye(rem, dtype=np.uint8)
         cancel[r:, :r] = v.to_bits()
+        # the step is cancel @ reorder; cancel is its own inverse and reorder
+        # a permutation, so the step's inverse is reorder.T @ cancel
         g[fixed:] = gf2.mul(gf2.mul(cancel, reorder), g[fixed:])
+        ginv[:, fixed:] = gf2.mul(ginv[:, fixed:], gf2.mul(reorder.T, cancel))
         widths.append(r)
         fixed += r
         prev = r
@@ -256,7 +250,6 @@ def lf_transform(spec: SemiDetSpec) -> tuple[LinearMap, UpperTriSpec]:
             elif blk.any() or k == j - 1:
                 blocks[(j, k)] = gf2.BitMatrix.from_bits(blk)
     tri = UpperTriSpec(tuple(widths), blocks)
-    tri.validate()
     full = np.eye(n0 + nd, dtype=np.uint8)
     full[n0:, n0:] = g
     lmap = LinearMap(gf2.BitMatrix.from_bits(full), (n0, nd), tuple(widths))

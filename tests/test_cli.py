@@ -13,6 +13,8 @@ import pytest
 from streamcode import cli, gf2, sw_binning
 from streamcode.cli import main
 from streamcode.gaussian_stream import QUANT_GAP
+from streamcode.markov import BinarySymmetricChain
+from streamcode.rates import RateQuery, r_delay, r_plus
 from streamcode.sources import SemiDetSpec
 
 from helpers import h_b
@@ -108,6 +110,20 @@ def test_simulate_det_no_failures_anywhere(capsys):
         assert all(r["failures"] == "0" and r["mismatches"] == "0" for r in rows)
 
 
+def test_simulate_det_tallies_failures_without_mismatches(capsys):
+    # delta 0 leaves no slack above the rate floor, so deadline solves fail,
+    # and a failed decode never hands out wrong bits
+    code, out, _ = run_cli(
+        ["simulate-det", "--widths", "3,2,1", "--n", "4", "--delta", "0", "--T", "8",
+         "--trials", "4", "--seed", "2"],
+        capsys,
+    )
+    assert code == 0
+    rows = parse_csv(out)
+    assert len(rows) == 8
+    assert all(int(r["failures"]) > 0 and r["mismatches"] == "0" for r in rows)
+
+
 def test_simulate_det_jobs_do_not_change_output(capsys):
     argv = ["simulate-det", "--widths", "2,1", "--B", "1", "--W", "0",
             "--n", "16", "--T", "4", "--trials", "2"]
@@ -186,15 +202,30 @@ def test_transform_one_shot_route(capsys):
     assert artifact["checks"]["coupling_solved"] is True
 
 
-def test_transform_one_shot_route_runs_six_eliminations(capsys, monkeypatch):
-    # rank(A) for the route and again in case1_transform; in lb_transform the
-    # rank and the solve of the coupling block, the derived spec's check and
-    # the map's inverse; the CLI reads X off the map instead of solving again
+def count_eliminations(argv, capsys, monkeypatch) -> tuple[int, dict]:
     calls = []
     reduce = gf2._reduce
     monkeypatch.setattr(gf2, "_reduce", lambda *a, **k: calls.append(a) or reduce(*a, **k))
-    assert run_cli(["transform", "--random-seed", "3"], capsys)[0] == 0
-    assert len(calls) == 6
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    return len(calls), json.loads(out)
+
+
+def test_transform_one_shot_route_runs_six_eliminations(capsys, monkeypatch):
+    # in lf_transform the one round's independent-row split of A and the
+    # identity map's inverse; in lb_transform the rank of A, the solve of the
+    # coupling block, the derived spec's check and the map's inverse; the CLI
+    # reads X off the map instead of solving again
+    count, artifact = count_eliminations(["transform", "--random-seed", "3"], capsys, monkeypatch)
+    assert artifact["route"] == "one-shot" and count == 6
+
+
+def test_transform_three_layer_peel_runs_eleven_eliminations(capsys, monkeypatch):
+    # lf_transform: one independent-row split per round (two rounds) and the
+    # map's inverse; lb_transform: two sub-diagonal ranks, three coupling
+    # solves, two ranks of the derived spec and the map's inverse
+    count, artifact = count_eliminations(["transform", "--random-seed", "5"], capsys, monkeypatch)
+    assert artifact["derived"]["widths"] == [4, 3, 2] and count == 11
 
 
 # SHA-256 of stdout for cheap fixed-seed runs whose output is only integers
@@ -323,6 +354,32 @@ def test_sweep_errors_fall_with_rate(capsys):
     errs = [int(r["errors"]) for r in rows]
     assert errs[0] > errs[-1]
     assert float(rows[0]["rate"]) < float(rows[-1]["rate"])
+
+
+def test_sweep_delay_threshold_centres_the_offsets(capsys):
+    code, out, _ = run_cli(
+        ["sweep", "--flip", "0.25", "--threshold", "delay", "--B", "1", "--T", "2",
+         "--n", "8", "--trials", "4", "--modes", "post_burst"],
+        capsys,
+    )
+    assert code == 0
+    thr = r_delay(BinarySymmetricChain(0.25), 1, 2)
+    assert thr != r_plus(BinarySymmetricChain(0.25), RateQuery(B=1, W=0))
+    got = [float(r["rate"]) for r in parse_csv(out)]
+    assert got == pytest.approx([thr - 0.1, thr, thr + 0.15], abs=1e-9)
+
+
+def test_sweep_explicit_rates_run_in_ascending_order(capsys):
+    code, out, _ = run_cli(
+        ["sweep", "--flip", "0.25", "--rates", "1.2,0.5", "--n", "8", "--trials", "4",
+         "--modes", "steady,post_burst"],
+        capsys,
+    )
+    assert code == 0
+    rows = parse_csv(out)
+    assert [(float(r["rate"]), r["mode"]) for r in rows] == [
+        (0.5, "steady"), (0.5, "post_burst"), (1.2, "steady"), (1.2, "post_burst")
+    ]
 
 
 def test_exit_codes(capsys, tmp_path):
