@@ -421,7 +421,7 @@ def cmd_transform(p: argparse.Namespace) -> None:
     back = moved
     for m in reversed(maps):
         back = invert_map(m, back)
-    checks["derived_valid"] = True  # lb_transform validated the derived spec
+    checks["derived_valid"] = True  # lb_transform ranked the blocks its derived maps equal
     same = all(
         np.array_equal(back.sub[j], trace.sub[j]) and np.array_equal(back.tail[j], trace.tail[j])
         for j in range(len(trace.widths))

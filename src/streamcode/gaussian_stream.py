@@ -15,6 +15,8 @@ Two transports are available: "ideal" tracks which digit blocks each
 packet carries and delivers them verbatim (delivery bookkeeping only),
 "binned" actually hashes the rearranged bit source into packets and runs
 the streaming decoder, so every delivered bit is solved from the hashes.
+Its code is certified: one hash shared by every time, checked at design
+time, so it decodes every burst within the (B, W) contract.
 
 Subtractive dither is drawn uniform over the *coarsest* cell of each
 sample's grid.  Because every finer step divides the coarsest one exactly,
@@ -483,11 +485,15 @@ def gaussian_pipeline(
         into packets and runs the streaming decoder on what survives.
     delta : extra packet bits above the rate floor (binned accounting);
         a negative delta would put the packet below the floor and is
-        refused in both modes.
+        refused in both modes.  The binned code is certified (see
+        ``design_bincode``): it shares one hash across all times and is
+        zero-error within the single-burst contract, so delta buys fewer
+        redraws of that hash, not a failure bound.
 
     Returns a DistortionReport; raises PatternViolation when the erasures
-    break the (B, W) contract and InvariantViolation if the realized rate
-    accounting drifts from the closed form.
+    break the (B, W) contract, InvariantViolation if the realized rate
+    accounting drifts from the closed form, and in binned mode
+    InvalidInput when no draw of the hash passes certification.
 
     ``rate["per_sample"]`` is that closed-form accounting of the layer
     split, not the bits a packet spends: the carrier layer ships whole
@@ -530,7 +536,7 @@ def gaussian_pipeline(
         ]
     else:
         spec, trace = layer_rearrange(codec, blocks)
-        bincode = design_bincode(spec, B, W, n=1, delta=delta, seed=seed)
+        bincode = design_bincode(spec, B, W, n=1, delta=delta, seed=seed, certified=True)
         stream = encode(trace, spec, B, W, bincode).with_erasures(pattern)
         # time -1 is revealed history; a K = 0 source has none and needs none
         tail_symbol = [layer[-1] for layer in trace.tail] if trace.tail_depth else []

@@ -27,17 +27,23 @@ emitted as explicit skip markers.
 
 A BinCode is the code of one design point: the spec and the pair (B, W)
 fix the codeword parts and, through R(B, W), the packet size, so
-``encode`` and ``decode_step`` refuse any other (spec, B, W).  The
-time-t hash is the top bit of each byte of the raw PCG64 stream seeded
-by [seed, t], which is bit for bit numpy's
-``default_rng([seed, t]).integers(0, 2, (packet_bits, in_bits), dtype=np.uint8)``.
-The code also holds the layer-map products and one cache of its
-solvers, keyed by (t, erased count).  It holds the hashes and solvers of
-its _HELD_TIMES most recently used times only, so its memory stays flat
+``encode`` and ``decode_step`` refuse any other (spec, B, W).  By default
+the time-t hash is the top bit of each byte of the raw PCG64 stream
+seeded by [seed, t], which is bit for bit numpy's
+``default_rng([seed, t]).integers(0, 2, (packet_bits, in_bits), dtype=np.uint8)``,
+and each decode fails with a small probability that ``delta`` bounds.
+The code also holds the layer-map products and one cache of its solvers,
+keyed by (t, erased count).  It holds the hashes and solvers of its
+_HELD_TIMES most recently used times only, so its memory stays flat
 however long the stream runs; a dropped time's hash is drawn again, and
-its solvers rebuilt, on its next use.  With binning disabled the hash is
-the identity at every time, so such a code keys its solvers by erased
-count alone and holds nothing per time.
+its solvers rebuilt, on its next use.
+
+A certified code (``design_bincode(..., certified=True)``) shares one
+hash across all times, so a system depends on its erased count alone and
+the B+1 keys are checked once, at design time: a time-invariant code,
+zero-error within the single-burst contract (Martinian and Sundberg,
+IEEE Trans. IT, 2004).  With binning disabled the hash is the identity,
+the same shared-hash case.
 """
 
 from __future__ import annotations
@@ -58,6 +64,11 @@ from .sources import DiagonalSourceSpec
 # caller reuses one code over is 64 times, so reuse never rebuilds a solver.
 _HELD_TIMES = 128
 
+# A certified code draws its shared hash at most this many times.  About 0.3
+# of draws pass at delta=0 and each slack bit of delta halves a key's chance
+# of failing, so a design point that exhausts them is all but infeasible.
+_CERTIFY_ATTEMPTS = 64
+
 # holders of ``BinCode._held``: last symbol, window innovations, deep parts
 _PRE, _INNOV, _DEEP = range(3)
 
@@ -74,17 +85,20 @@ def _part_widths(spec: DiagonalSourceSpec, B: int, W: int) -> tuple[int, ...]:
 
 @dataclass(eq=False)
 class BinCode:
-    """The code of one design point (spec, B, W): a seeded per-time random
-    linear hash of the flattened codeword, and everything the decoder
-    derives from it.
+    """The code of one design point (spec, B, W): a seeded random linear
+    hash of the flattened codeword, and everything the decoder derives
+    from it.
 
-    The time-t matrix is reproducible from (seed, t): row by row, its bits
-    are the top bits of the bytes of ``PCG64([seed, t]).random_raw``, the
-    bits that ``default_rng([seed, t]).integers(0, 2, (packet_bits,
-    in_bits), dtype=np.uint8)`` returns, for less than half its cost.
-    When ``packet_bits == n * r0_bits`` the hash degenerates to the
-    identity, one matrix shared by every time, and packets carry the
-    codeword verbatim (binning disabled).
+    With ``attempt`` None each time t draws its own matrix, reproducible
+    from (seed, t): row by row, its bits are the top bits of the bytes of
+    ``PCG64([seed, t]).random_raw``, the bits that ``default_rng([seed,
+    t]).integers(0, 2, (packet_bits, in_bits), dtype=np.uint8)`` returns,
+    for less than half its cost.  With ``attempt`` set, every time shares
+    the one matrix drawn the same way from (seed, attempt), the draw that
+    ``design_bincode`` certified.  When ``packet_bits == n * r0_bits`` the
+    hash degenerates to the identity, shared by every time whatever
+    ``attempt`` is, and packets carry the codeword verbatim (binning
+    disabled).
 
     The code also holds the codeword part widths, cached layer-to-layer map
     products as dense bit arrays, and the solvers of ``solve_window``, in
@@ -95,12 +109,12 @@ class BinCode:
     onto the innovations), or a stacked solver when some time's innovation
     columns lack full column rank.
 
-    A binned code holds the hashes of its _HELD_TIMES most recently used
+    A per-time code holds the hashes of its _HELD_TIMES most recently used
     times, in ``_packed`` from least to most recent; every read of a time's
     hash marks it recent.  Holding one more time drops the least recent
-    one, with its solvers.  An identity code's systems are the same at
-    every time, so it keys its solvers (None, erased count) and keeps no
-    recency order.
+    one, with its solvers.  With a shared hash the systems are the same at
+    every time, so the code keys its solvers (None, erased count) and
+    keeps no recency order.
     """
 
     spec: DiagonalSourceSpec
@@ -109,6 +123,7 @@ class BinCode:
     n: int
     packet_bits: int
     seed: int
+    attempt: int | None = None
 
     def __post_init__(self) -> None:
         self.part_widths = _part_widths(self.spec, self.B, self.W)
@@ -123,8 +138,12 @@ class BinCode:
         if not 0 <= self.packet_bits <= self.in_bits:
             raise InvalidInput("packet size must lie in [0, codeword bits]")
         self.identity_mode = self.packet_bits == self.in_bits
-        # callers only read the hash, so every time shares one identity
-        self._eye = gf2.BitMatrix.identity(self.in_bits) if self.identity_mode else None
+        # the hash every time shares, or None when each time draws its own;
+        # callers only read it, so one matrix serves every time
+        self._shared = (
+            gf2.BitMatrix.identity(self.in_bits) if self.identity_mode
+            else None if self.attempt is None else self._draw(self.attempt)
+        )
         self._rbits = [None] + [m.to_bits() for m in self.spec.R]
         self._prods: dict[tuple[int, int], np.ndarray] = {}
         self._packed: dict[int, gf2.BitMatrix] = {}
@@ -141,11 +160,11 @@ class BinCode:
 
     def packed(self, t: int) -> gf2.BitMatrix:
         """Time-t hash as a packed bit matrix, the code's one cached form;
-        a binned code marks t as its most recently used time."""
+        a per-time code marks t as its most recently used time."""
         if t < 0:
             raise InvalidInput("packet times are nonnegative")
-        if self.identity_mode:
-            return self._eye
+        if self._shared is not None:
+            return self._shared
         got = self._packed.pop(t, None)
         if got is None:
             if len(self._packed) >= _HELD_TIMES:
@@ -157,11 +176,11 @@ class BinCode:
         self._packed[t] = got
         return got
 
-    def _draw(self, t: int) -> gf2.BitMatrix:
+    def _draw(self, stream: int) -> gf2.BitMatrix:
         # numpy's integers(0, 2) on uint8 keeps the top bit of each raw
         # byte, taking the bytes of each 64-bit word low to high
         bits = self.packet_bits * self.in_bits
-        raw = np.random.PCG64([self.seed, t]).random_raw(-(-bits // 8))
+        raw = np.random.PCG64([self.seed, stream]).random_raw(-(-bits // 8))
         top = raw.astype("<u8", copy=False).view(np.uint8)[:bits]
         top >>= 7
         shape = (self.packet_bits, self.in_bits)
@@ -172,11 +191,19 @@ class BinCode:
         flat = np.asarray(vec, np.uint8).reshape(-1)
         if flat.shape[0] != self.in_bits:
             raise InvalidInput("codeword size does not match the hash input")
-        # checks t in both modes, and marks it recent when binned
+        # checks t in every mode, and marks it recent in a per-time code
         hashed = self.packed(t)
         if self.identity_mode:
             return flat.copy()
         return hashed.mul_vec(gf2.BitVector.from_bits(flat)).to_bits()
+
+    def hash_trace(self, words: np.ndarray) -> list[np.ndarray]:
+        """Packets of times 0..T-1 from a (T, n, r0_bits) codeword array:
+        one product when every time shares the hash, else one per time."""
+        if self._shared is None:
+            return [self.hash_vec(t, w) for t, w in enumerate(words)]
+        flat = words.reshape(len(words), self.in_bits)
+        return list(flat if self.identity_mode else gf2.mul(flat, self.matrix(0).T))
 
     def prod(self, hi: int, lo: int) -> np.ndarray:
         """Dense product of the inter-layer maps from layer lo up to hi."""
@@ -192,8 +219,8 @@ class BinCode:
 
     def _key(self, t: int, bp: int) -> tuple:
         """Solver key of the window ending at t after bp erasures; a system
-        depends on t only through the hashes, which identity mode shares."""
-        return (None, bp) if self.identity_mode else (t, bp)
+        depends on t only through the hashes, so a shared hash drops t."""
+        return (t, bp) if self._shared is None else (None, bp)
 
     def solve_window(
         self,
@@ -230,13 +257,7 @@ class BinCode:
             u = _solve_bits(self._steady(t), self._rhs(t, packets[0], j0, first, pre), t)
             return self._symbol(t, j0, first, pre, (u.reshape(n, n0),))
 
-        # the coefficient matrices are fixed by the code and the key; only the
-        # right-hand side (which folds in ``pre``) changes between decodes
-        key = self._key(t, bp)
-        solver = self._solvers.get(key)
-        if solver is None:
-            solver = self._compose(first, t, bp) or self._stack(first, t, bp)
-            self._solvers[key] = solver
+        solver = self._window(first, t, bp)
         if isinstance(solver, _Composed):
             innov, checks = [], []
             for tau, packet in enumerate(packets, first):
@@ -311,6 +332,26 @@ class BinCode:
                 cols = gf2.mul(cols, self.prod(layer, lo))
             yield h, i, cols.reshape(rows, n * self.widths[lo])
 
+    def _window(self, first: int, t: int, bp: int) -> gf2.PrefactoredSolver | _Composed:
+        """The cached solver of key (t, bp >= 1): composed, or stacked when
+        some time's innovation columns lack full column rank.  Its matrices
+        are fixed by the code and the key; only the right-hand side, which
+        folds in ``pre``, changes between decodes."""
+        key = self._key(t, bp)
+        got = self._solvers.get(key)
+        if got is None:
+            got = self._solvers[key] = self._compose(first, t, bp) or self._stack(first, t, bp)
+        return got
+
+    def _certified(self) -> bool:
+        """Whether every key of a shared hash has full column rank: the
+        steady key, then the window of each erased count 1..B.  The keys do
+        not depend on t, so the window after erasures 0..bp-1 stands for
+        all; the solvers built here are the ones decoding reads."""
+        if not _full_rank(self._steady(0)):
+            return False
+        return all(_full_rank(self._window(bp, bp + self.W, bp)) for bp in range(1, self.B + 1))
+
     def _steady(self, tau: int) -> gf2.PrefactoredSolver:
         """The cached solver of key (tau, 0), over the innovation columns
         H0_tau of the time-tau hash."""
@@ -378,6 +419,13 @@ class _Composed:
     lift: gf2.BitMatrix
 
 
+def _full_rank(solver: gf2.PrefactoredSolver | _Composed) -> bool:
+    """Whether a key's system pins its unknowns down: the reduced system of
+    a composed window, else the solver's own."""
+    s = solver.reduced if isinstance(solver, _Composed) else solver
+    return s.rank == s.cols
+
+
 def _solve_bits(solver: gf2.PrefactoredSolver, rhs: np.ndarray, t: int) -> np.ndarray:
     """Unique GF(2) solve, mapped onto the decoder's failure contract."""
     try:
@@ -393,14 +441,24 @@ def design_bincode(
     n: int,
     delta: int = 8,
     seed: int = 0,
+    certified: bool = False,
 ) -> BinCode:
     """Build the BinCode of the given source and channel design point.
 
-    The packet carries ceil(n * diagonal_rate(N, B, W)) + delta bits
-    (delta slack bits per packet buy a 2**-((W+1)*delta) failure bound),
+    The packet carries ceil(n * diagonal_rate(N, B, W)) + delta bits,
     capped at the raw codeword size, which disables binning.  A negative
     ``delta`` puts the packet below the information threshold and is
     refused.
+
+    The default code draws a hash per time, and delta buys a
+    2**-((W+1)*delta) bound on each decode's failure.  A ``certified``
+    code shares one hash, drawn from [seed, attempt] for attempt = 0, 1,
+    ...: the first draw whose steady key and B windows all have full
+    column rank, or InvalidInput after _CERTIFY_ATTEMPTS draws.  It is
+    zero-error within the single-burst contract, so there delta buys
+    fewer redraws, not a failure bound.  The per-time code stays the
+    default until the benchmark holds one window of samples, since there
+    the certified code's speed would read as more memory.
     """
     if delta < 0:
         raise InvalidInput(f"delta must be nonnegative, got {delta}")
@@ -412,7 +470,16 @@ def design_bincode(
         raise InvalidInput(
             f"packet_bits must lie in [{need}, {cap}] for this design point"
         )
-    return BinCode(spec, B, W, n, packet_bits, seed)
+    if not certified or packet_bits == cap:
+        return BinCode(spec, B, W, n, packet_bits, seed)
+    for attempt in range(_CERTIFY_ATTEMPTS):
+        code = BinCode(spec, B, W, n, packet_bits, seed, attempt)
+        if code._certified():
+            return code
+    raise InvalidInput(
+        f"no hash of {_CERTIFY_ATTEMPTS} draws gave every key full column rank "
+        f"at delta={delta}; raise delta"
+    )
 
 
 @dataclass
@@ -447,8 +514,7 @@ def encode(
         gf2.mul(layers[k], bincode.prod(W + k, k).T) for k in range(1, B + 1)
     ]
     words = np.concatenate(parts, axis=2)
-    packets = [bincode.hash_vec(t, words[t]) for t in range(trace.T)]
-    return PacketStream(spec=spec, B=B, W=W, packets=packets)
+    return PacketStream(spec=spec, B=B, W=W, packets=bincode.hash_trace(words))
 
 
 @dataclass

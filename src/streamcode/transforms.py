@@ -160,13 +160,15 @@ class LinearMap:
     ``drop`` is set, the final input layer is checked against its self-map,
     removed, and its influence on the kept layers cancelled before the
     matrix is applied; the inverse regenerates it from the stored anchor.
+    The builder of a map knows its ``inverse``, so the map only checks
+    that the product of the two is the identity, with no elimination.
     """
 
     matrix: gf2.BitMatrix
     in_widths: tuple[int, ...]
     out_widths: tuple[int, ...]
+    inverse: gf2.BitMatrix = field(repr=False, compare=False)
     drop: DropPlan | None = None
-    _inverse: gf2.BitMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "in_widths", tuple(int(w) for w in self.in_widths))
@@ -177,13 +179,8 @@ class LinearMap:
             raise InvalidInput("matrix does not match the declared widths")
         if sum(self.out_widths) != size:
             raise InvalidInput("output widths do not match the matrix")
-        try:
-            object.__setattr__(self, "_inverse", gf2.invert(self.matrix))
-        except ValueError:
-            raise InvariantViolation("map matrix is singular") from None
-
-    def inverse_matrix(self) -> gf2.BitMatrix:
-        return self._inverse
+        if self.matrix @ self.inverse != gf2.BitMatrix.identity(size):
+            raise InvariantViolation("map inverse does not invert the matrix")
 
     def to_json(self) -> dict:
         return {
@@ -251,8 +248,12 @@ def lf_transform(spec: SemiDetSpec) -> tuple[LinearMap, UpperTriSpec]:
                 blocks[(j, k)] = gf2.BitMatrix.from_bits(blk)
     tri = UpperTriSpec(tuple(widths), blocks)
     full = np.eye(n0 + nd, dtype=np.uint8)
+    full_inv = full.copy()
     full[n0:, n0:] = g
-    lmap = LinearMap(gf2.BitMatrix.from_bits(full), (n0, nd), tuple(widths))
+    full_inv[n0:, n0:] = ginv
+    lmap = LinearMap(
+        gf2.BitMatrix.from_bits(full), (n0, nd), tuple(widths), gf2.BitMatrix.from_bits(full_inv)
+    )
     return lmap, tri
 
 
@@ -266,7 +267,8 @@ def lb_transform(
     for combination matrices against the sub-diagonal block of the row and
     redefines the layer above so that the row keeps only its sub-diagonal
     term.  Solutions take free variables as zero, so the construction is
-    deterministic.
+    deterministic.  The steps leave every sub-diagonal block as it was, so
+    the derived maps are the blocks ``tri.validate()`` ranked on entry.
     """
     tri.validate()
     widths = list(tri.widths)
@@ -304,6 +306,7 @@ def lb_transform(
         return mat[rows[j - 1] : rows[j], cols[k] : cols[k + 1]]
 
     m = np.eye(total, dtype=np.uint8)
+    m_inv = m.copy()
     psi = phi
     for j in range(1, K + 1):
         l = K - j
@@ -315,15 +318,21 @@ def lb_transform(
             d[cols[l] : cols[l + 1], cols[l + k] : cols[l + k + 1]] = x.to_bits()
         psi = gf2.mul(gf2.mul(d[n0:, n0:], psi), d)  # d is its own inverse over GF(2)
         m = gf2.mul(d, m)
+        m_inv = gf2.mul(m_inv, d)
 
     spec_maps = []
     for j in range(1, K + 1):
         for k in range(j, K + 1):
             assert not blk(psi, j, k).any(), "off-diagonal block survived"
-        spec_maps.append(gf2.BitMatrix.from_bits(blk(psi, j, j - 1)))
+        r = gf2.BitMatrix.from_bits(blk(psi, j, j - 1))
+        if r != tri.block(j, j - 1):
+            raise InvariantViolation(f"backward pass changed the sub-diagonal block into layer {j}")
+        spec_maps.append(r)
     out = DiagonalSourceSpec(widths=tuple(widths), R=tuple(spec_maps))
-    out.validate()
-    lmap = LinearMap(gf2.BitMatrix.from_bits(m), tri.widths, tuple(widths), drop=drop)
+    lmap = LinearMap(
+        gf2.BitMatrix.from_bits(m), tri.widths, tuple(widths),
+        gf2.BitMatrix.from_bits(m_inv), drop=drop,
+    )
     return lmap, out
 
 
@@ -380,7 +389,7 @@ def invert_map(m: LinearMap, trace: StreamTrace) -> StreamTrace:
         raise InvalidInput("trace widths do not match the map output")
     data = _timeline(trace)
     steps = data.shape[0]
-    back = gf2.mul(data, m.inverse_matrix().to_bits().T)
+    back = gf2.mul(data, m.inverse.to_bits().T)
     meta = dict(trace.meta)
     if m.drop is not None:
         stored = meta.pop("drop_anchor", None)

@@ -211,21 +211,21 @@ def count_eliminations(argv, capsys, monkeypatch) -> tuple[int, dict]:
     return len(calls), json.loads(out)
 
 
-def test_transform_one_shot_route_runs_six_eliminations(capsys, monkeypatch):
-    # in lf_transform the one round's independent-row split of A and the
-    # identity map's inverse; in lb_transform the rank of A, the solve of the
-    # coupling block, the derived spec's check and the map's inverse; the CLI
-    # reads X off the map instead of solving again
+def test_transform_one_shot_route_runs_three_eliminations(capsys, monkeypatch):
+    # in lf_transform the one round's independent-row split of A; in
+    # lb_transform the rank of A and the solve of the coupling block; each
+    # builder passes its map's inverse, and the CLI reads X off the map
+    # instead of solving again
     count, artifact = count_eliminations(["transform", "--random-seed", "3"], capsys, monkeypatch)
-    assert artifact["route"] == "one-shot" and count == 6
+    assert artifact["route"] == "one-shot" and count == 3
 
 
-def test_transform_three_layer_peel_runs_eleven_eliminations(capsys, monkeypatch):
-    # lf_transform: one independent-row split per round (two rounds) and the
-    # map's inverse; lb_transform: two sub-diagonal ranks, three coupling
-    # solves, two ranks of the derived spec and the map's inverse
+def test_transform_three_layer_peel_runs_seven_eliminations(capsys, monkeypatch):
+    # lf_transform: one independent-row split per round (two rounds);
+    # lb_transform: two sub-diagonal ranks and three coupling solves; the
+    # derived maps are those ranked blocks, and no map inverts its matrix
     count, artifact = count_eliminations(["transform", "--random-seed", "5"], capsys, monkeypatch)
-    assert artifact["derived"]["widths"] == [4, 3, 2] and count == 11
+    assert artifact["derived"]["widths"] == [4, 3, 2] and count == 7
 
 
 # SHA-256 of stdout for cheap fixed-seed runs whose output is only integers

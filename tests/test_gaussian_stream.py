@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from streamcode import gaussian_stream
+from streamcode import gaussian_stream, gf2
 from streamcode.errors import InvalidInput, PatternViolation
 from streamcode.gaussian_stream import (
     QUANT_GAP,
@@ -272,3 +272,24 @@ def test_pipeline_decodes_each_digit_block_once(monkeypatch):
     held = {block for blocks in rep.delivered.values() for block in blocks}
     assert len(held) == 14
     assert sorted(calls) == sorted(held)
+
+
+def test_binned_pipeline_runs_a_certified_code_of_b_plus_1_eliminations(monkeypatch):
+    # one shared hash: B+1 key solvers per accepted draw, none while decoding
+    codes, reduced = [], []
+    design, reduce = gaussian_stream.design_bincode, gf2._reduce
+
+    def designing(*args, **kw):
+        codes.append(design(*args, **kw))
+        return codes[-1]
+
+    monkeypatch.setattr(gaussian_stream, "design_bincode", designing)
+    monkeypatch.setattr(gf2, "_reduce", lambda *a, **k: reduced.append(a) or reduce(*a, **k))
+    for B, W, d in [(1, 1, ACCEPT_D), (2, 1, (0.25, 0.5, 0.5, 0.70710678))]:
+        codes.clear()
+        reduced.clear()
+        gaussian_pipeline(d, B, W, n=8, T=8, burst=(3, B), mode="binned", seed=4)
+        (code,) = codes
+        assert code.attempt is not None and not code._packed
+        assert len(reduced) <= (B + 1) * (code.attempt + 1)
+        assert len(code._solvers) == B + 1

@@ -638,3 +638,103 @@ def test_identity_code_builds_one_solver_per_erased_count(monkeypatch):
     monkeypatch.setattr(gf2, "PrefactoredSolver", Counting)
     check_outputs(trace, run_decode(trace, spec, B, W, code, pattern), window)
     assert 0 < len(built) <= B + 1
+
+
+# --------------------------------------------------------- certified code
+
+
+def certified_code(spec, B, W, n, delta=0, seed=1):
+    code = prospicient.design_bincode(spec, B, W, n, delta=delta, seed=seed, certified=True)
+    assert code.identity_mode or code.attempt is not None
+    return code
+
+
+def counting_solvers(monkeypatch) -> list:
+    """Record the matrix of every solver built from here on."""
+    built = []
+
+    class Counting(gf2.PrefactoredSolver):
+        def __init__(self, a):
+            built.append(a)
+            super().__init__(a)
+
+    monkeypatch.setattr(gf2, "PrefactoredSolver", Counting)
+    return built
+
+
+def test_certified_hash_is_one_uniform_bit_draw_for_seed_and_attempt():
+    # deep_spec at n=4, delta=0: the draws of attempts 0..9 of seed 1 fail
+    code = certified_code(deep_spec(), 1, 1, n=4)
+    assert code.attempt == 10
+    want = np.random.default_rng([1, code.attempt]).integers(
+        0, 2, (code.packet_bits, code.in_bits), dtype=np.uint8
+    )
+    for t in (0, 1, 300):
+        assert np.array_equal(code.matrix(t), want), t
+    assert code.packed(0) is code.packed(300)
+    with pytest.raises(InvalidInput, match="packet times are nonnegative"):
+        code.packed(-1)
+    # the fields rebuild the code
+    again = prospicient.BinCode(code.spec, 1, 1, 4, code.packet_bits, 1, code.attempt)
+    assert np.array_equal(again.matrix(5), want)
+
+
+def test_certified_systems_are_the_same_at_every_time(monkeypatch):
+    B, W, n = 2, 1, 6
+    spec = sources.random_diagonal_spec(np.random.default_rng(8), K=B + W, max_width=3)
+    for certified in (True, False):
+        code = prospicient.design_bincode(spec, B, W, n, delta=0, seed=3, certified=certified)
+        assert not code.identity_mode
+        built = counting_solvers(monkeypatch)
+        for bp in range(B + 1):
+            for t in (4, 9):
+                code._stack(t - W, t, bp)
+            same = built[-2] == built[-1]
+            # per-time hashes give each time its own system
+            assert same == certified, (certified, bp)
+
+
+def test_certified_code_holds_one_hash_and_its_key_solvers(monkeypatch):
+    spec, B, W, n, T = deep_spec(), 1, 1, 16, 64
+    code = certified_code(spec, B, W, n)
+    assert len(code._solvers) == B + 1
+    trace = sources.gen_diagonal(spec, n, T, seed=45)
+    pattern, window = periodic_bursts(T)
+    built = counting_solvers(monkeypatch)
+    check_outputs(trace, run_decode(trace, spec, B, W, code, pattern), window)
+    # design built every solver that decoding reads
+    assert built == []
+    assert not code._packed and len(code._solvers) == B + 1
+    assert code.packed(0) is code.packed(T - 1)
+
+
+def test_certification_names_delta_when_no_draw_passes(monkeypatch):
+    monkeypatch.setattr(prospicient, "_CERTIFY_ATTEMPTS", 1)
+    with pytest.raises(InvalidInput, match="at delta=0"):
+        prospicient.design_bincode(deep_spec(), 1, 1, 4, delta=0, seed=1, certified=True)
+    # the per-time code is not certified, and a full packet needs no draw
+    assert prospicient.design_bincode(deep_spec(), 1, 1, 4, delta=0, seed=1).attempt is None
+    full = prospicient.design_bincode(deep_spec(), 1, 1, 4, delta=10**6, seed=1, certified=True)
+    assert full.identity_mode and full.attempt is None
+
+
+@pytest.mark.parametrize("B, W", [(1, 0), (1, 1), (2, 1), (1, 2), (2, 0), (2, 2)])
+def test_certified_codes_decode_every_burst_without_error_at_delta_0(B, W):
+    # zero-error within the single-burst contract: every burst start and
+    # length <= B decodes bit-exactly at exactly the rate's packet size
+    rng = np.random.default_rng([7, B, W])
+    T = 20
+    bursts = [(j, blen) for blen in range(1, B + 1) for j in range(T - blen + 1)]
+    for _ in range(5):
+        spec = sources.random_diagonal_spec(rng, K=B + W, max_width=3)
+        n = int(rng.integers(4, 12))
+        code = certified_code(spec, B, W, n, seed=int(rng.integers(1 << 16)))
+        assert code.packet_bits == math.ceil(rates.diagonal_rate(spec.widths, B, W) * n)
+        trace = sources.gen_diagonal(spec, n, T, seed=int(rng.integers(1 << 16)))
+        stream = prospicient.encode(trace, spec, B, W, code)
+        tail = symbol_at(trace, -1)
+        check_outputs(trace, prospicient.decode_stream(stream, code, tail))
+        for j, blen in bursts:
+            pattern = channel.single_burst(j, blen, T)
+            out = prospicient.decode_stream(stream.with_erasures(pattern), code, tail)
+            check_outputs(trace, out, channel.recovery_window(pattern, B, W))

@@ -239,9 +239,8 @@ def test_lb_dropped_layer_tracks_initial_tail():
 def test_apply_identity_and_width_checks():
     spec = sources.random_diagonal_spec(np.random.default_rng(3), K=2)
     trace = sources.gen_diagonal(spec, n=2, T=10, seed=1)
-    ident = transforms.LinearMap(
-        gf2.BitMatrix.identity(sum(spec.widths)), spec.widths, spec.widths
-    )
+    eye = gf2.BitMatrix.identity(sum(spec.widths))
+    ident = transforms.LinearMap(eye, spec.widths, spec.widths, eye)
     same = transforms.apply_map(ident, trace)
     assert trace_arrays_equal(same, trace)
     skinny = sources.StreamTrace(
@@ -256,6 +255,13 @@ def test_apply_identity_and_width_checks():
         transforms.apply_map(ident, skinny)
     with pytest.raises(InvalidInput, match="widths"):
         transforms.invert_map(ident, skinny)
+
+
+def test_map_refuses_an_inverse_that_does_not_invert():
+    m = gf2.BitMatrix.from_bits(np.array([[1, 1], [0, 1]], np.uint8))
+    transforms.LinearMap(m, (2,), (2,), m)  # an involution is its own inverse
+    with pytest.raises(InvariantViolation, match="does not invert"):
+        transforms.LinearMap(m, (2,), (2,), gf2.BitMatrix.identity(2))
 
 
 def test_invert_requires_anchor_metadata():
