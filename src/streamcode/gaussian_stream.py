@@ -416,7 +416,6 @@ def layer_rearrange(codec: SRCodec, blocks: np.ndarray) -> tuple[DiagonalSourceS
 def source_spec(codec: SRCodec, n: int) -> DiagonalSourceSpec:
     """Layered-source description of the rearranged digit stream."""
     B, W = codec.rates.B, codec.rates.W
-    widths = codec.layer_widths(n)
     offs = codec.block_offsets(n)
     total = offs[-1]
     layer_w = [total] * (W + 1) + [total - offs[k] for k in range(1, B + 1)]

@@ -23,7 +23,7 @@ significant bit first.  Everything rests on two routines:
   stripe's row operations to the words right of it in one pass.
   Each elimination job has one front-end over it: :func:`rank`,
   :func:`solve` (free variables zero), :class:`PrefactoredSolver` (unique
-  solves, also behind :func:`invert`) and :func:`independent_rows`.
+  solves) and :func:`independent_rows`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "vstack",
     "rank",
     "solve",
-    "invert",
     "independent_rows",
 ]
 
@@ -433,17 +432,6 @@ class PrefactoredSolver:
         if z[self.rank :].any():
             raise ValueError("inconsistent system")
         return z[: self.rank]
-
-
-def invert(m: BitMatrix) -> BitMatrix:
-    """Inverse of a square matrix; raises ValueError("singular") otherwise.
-
-    Full rank pivots on columns 0..n-1 in order, so ``ops`` is the inverse.
-    """
-    solver = PrefactoredSolver(m)
-    if m.rows != m.cols or solver.rank < m.cols:
-        raise ValueError("singular")
-    return solver.ops
 
 
 def independent_rows(m: BitMatrix) -> tuple[np.ndarray, BitMatrix]:

@@ -32,18 +32,18 @@ the time-t hash is the top bit of each byte of the raw PCG64 stream
 seeded by [seed, t], which is bit for bit numpy's
 ``default_rng([seed, t]).integers(0, 2, (packet_bits, in_bits), dtype=np.uint8)``,
 and each decode fails with a small probability that ``delta`` bounds.
-The code also holds the layer-map products and one cache of its solvers,
-keyed by (t, erased count).  It holds the hashes and solvers of its
-_HELD_TIMES most recently used times only, so its memory stays flat
-however long the stream runs; a dropped time's hash is drawn again, and
-its solvers rebuilt, on its next use.
+The code also holds the layer-map products and one cache entry per time:
+the time's packed hash and its solvers, by erased count.  It holds the
+entries of its _HELD_TIMES most recently used times only, so its memory
+stays flat however long the stream runs; a time's hash and solvers are
+dropped together, and drawn and rebuilt on the time's next use.
 
 A certified code (``design_bincode(..., certified=True)``) shares one
-hash across all times, so a system depends on its erased count alone and
-the B+1 keys are checked once, at design time: a time-invariant code,
-zero-error within the single-burst contract (Martinian and Sundberg,
-IEEE Trans. IT, 2004).  With binning disabled the hash is the identity,
-the same shared-hash case.
+hash across all times, so a system depends on its erased count alone:
+the code holds one entry, and its B+1 solvers are checked once, at
+design time.  That is a time-invariant code, zero-error within the
+single-burst contract (Martinian and Sundberg, IEEE Trans. IT, 2004).
+With binning disabled the hash is the identity, the same one-entry case.
 """
 
 from __future__ import annotations
@@ -59,9 +59,10 @@ from . import channel, gf2, rates
 from .errors import DecodeFailure, InvalidInput, PatternViolation
 from .sources import DiagonalSourceSpec
 
-# A code keeps the hashes and solvers of this many times.  The decoder looks
-# back at most one burst plus its recovery window, and the longest horizon a
-# caller reuses one code over is 64 times, so reuse never rebuilds a solver.
+# A per-time code keeps the entries (hash and solvers) of this many times.
+# The decoder looks back at most one burst plus its recovery window, and the
+# longest horizon a caller reuses one code over is 64 times, so reuse never
+# rebuilds a solver.
 _HELD_TIMES = 128
 
 # A certified code draws its shared hash at most this many times.  About 0.3
@@ -101,20 +102,20 @@ class BinCode:
     disabled).
 
     The code also holds the codeword part widths, cached layer-to-layer map
-    products as dense bit arrays, and the solvers of ``solve_window``, in
-    one dict keyed by (t, erased count).  Key (t, 0) holds the steady
-    solver of time t, the building block of every decode; a recovery key
-    (t, bp >= 1) holds the window composed from the steady solvers of its
-    times (a small solver for the deep parts plus the map that lifts them
-    onto the innovations), or a stacked solver when some time's innovation
-    columns lack full column rank.
+    products as dense bit arrays, and in ``_times`` one entry per time: its
+    packed hash and the solvers of ``solve_window`` by erased count bp.
+    Key (t, 0) is the steady solver of time t, the building block of every
+    decode; a recovery key (t, bp >= 1) is the window of bp erasures that
+    ends at t, composed from the steady solvers of its times (a small
+    solver for the deep parts plus the map that lifts them onto the
+    innovations), or stacked when some time's innovation columns lack full
+    column rank.
 
-    A per-time code holds the hashes of its _HELD_TIMES most recently used
-    times, in ``_packed`` from least to most recent; every read of a time's
-    hash marks it recent.  Holding one more time drops the least recent
-    one, with its solvers.  With a shared hash the systems are the same at
-    every time, so the code keys its solvers (None, erased count) and
-    keeps no recency order.
+    A per-time code keys its entries by t, least recently used first, and
+    every read of a time's hash or solvers marks it recent; holding one
+    more time than _HELD_TIMES drops the least recent entry, hash and
+    solvers together.  With a shared hash the systems are the same at
+    every time, so the code holds one entry, under the key None.
     """
 
     spec: DiagonalSourceSpec
@@ -138,17 +139,10 @@ class BinCode:
         if not 0 <= self.packet_bits <= self.in_bits:
             raise InvalidInput("packet size must lie in [0, codeword bits]")
         self.identity_mode = self.packet_bits == self.in_bits
-        # the hash every time shares, or None when each time draws its own;
-        # callers only read it, so one matrix serves every time
-        self._shared = (
-            gf2.BitMatrix.identity(self.in_bits) if self.identity_mode
-            else None if self.attempt is None else self._draw(self.attempt)
-        )
         self._rbits = [None] + [m.to_bits() for m in self.spec.R]
         self._prods: dict[tuple[int, int], np.ndarray] = {}
-        self._packed: dict[int, gf2.BitMatrix] = {}
-        # by (t, erased count): a steady step is (t, 0), a deadline (t, bp >= 1)
-        self._solvers: dict[tuple, gf2.PrefactoredSolver | _Composed] = {}
+        # key (t, or None for a shared hash) -> (hash, {erased count: solver})
+        self._times: dict[int | None, tuple[gf2.BitMatrix, dict]] = {}
 
     def _check_design_point(self, spec: DiagonalSourceSpec, B: int, W: int) -> None:
         if B != self.B or W != self.W or (spec is not self.spec and spec != self.spec):
@@ -159,21 +153,28 @@ class BinCode:
         return self.packed(t).to_bits()
 
     def packed(self, t: int) -> gf2.BitMatrix:
-        """Time-t hash as a packed bit matrix, the code's one cached form;
-        a per-time code marks t as its most recently used time."""
+        """Time-t hash as a packed bit matrix, the code's one cached form."""
+        return self._time(t)[0]
+
+    def _time(self, t: int) -> tuple[gf2.BitMatrix, dict]:
+        """The entry of time t, its hash and its solvers by erased count,
+        marked most recently used.  A shared hash (certified, or the
+        identity) is one entry under the key None; a per-time code keys by
+        t and, holding _HELD_TIMES entries, drops the least recent one to
+        draw a new time."""
         if t < 0:
             raise InvalidInput("packet times are nonnegative")
-        if self._shared is not None:
-            return self._shared
-        got = self._packed.pop(t, None)
+        per_time = self.attempt is None and not self.identity_mode
+        key = t if per_time else None
+        got = self._times.pop(key, None)
         if got is None:
-            if len(self._packed) >= _HELD_TIMES:
-                old = next(iter(self._packed))
-                del self._packed[old]
-                for bp in range(self.B + 1):
-                    self._solvers.pop((old, bp), None)
-            got = self._draw(t)
-        self._packed[t] = got
+            if len(self._times) >= _HELD_TIMES:
+                del self._times[next(iter(self._times))]
+            if self.identity_mode:
+                got = (gf2.BitMatrix.identity(self.in_bits), {})
+            else:
+                got = (self._draw(t if per_time else self.attempt), {})
+        self._times[key] = got
         return got
 
     def _draw(self, stream: int) -> gf2.BitMatrix:
@@ -199,28 +200,28 @@ class BinCode:
 
     def hash_trace(self, words: np.ndarray) -> list[np.ndarray]:
         """Packets of times 0..T-1 from a (T, n, r0_bits) codeword array:
-        one product when every time shares the hash, else one per time."""
-        if self._shared is None:
-            return [self.hash_vec(t, w) for t, w in enumerate(words)]
+        one product when every time reads the entry of a shared hash, else
+        one per time."""
         flat = words.reshape(len(words), self.in_bits)
-        return list(flat if self.identity_mode else gf2.mul(flat, self.matrix(0).T))
+        if self.identity_mode:
+            return list(flat)
+        if len(flat) and self._time(0) is self._times.get(None):
+            return list(gf2.mul(flat, self.matrix(0).T))
+        return [self.hash_vec(t, w) for t, w in enumerate(words)]
 
     def prod(self, hi: int, lo: int) -> np.ndarray:
         """Dense product of the inter-layer maps from layer lo up to hi."""
         assert 0 <= lo <= hi <= self.spec.K
         if hi == lo:
             return np.eye(self.widths[hi], dtype=np.uint8)
+        if hi == lo + 1:
+            return self._rbits[hi]
         key = (hi, lo)
         got = self._prods.get(key)
         if got is None:
             got = gf2.mul(self._rbits[hi], self.prod(hi - 1, lo))
             self._prods[key] = got
         return got
-
-    def _key(self, t: int, bp: int) -> tuple:
-        """Solver key of the window ending at t after bp erasures; a system
-        depends on t only through the hashes, so a shared hash drops t."""
-        return (t, bp) if self._shared is None else (None, bp)
 
     def solve_window(
         self,
@@ -254,15 +255,15 @@ class BinCode:
         first = t - L + 1
         bp = first - j0
         if L == 1 and bp == 0:
-            u = _solve_bits(self._steady(t), self._rhs(t, packets[0], j0, first, pre), t)
+            u = _solve_bits(self._solver(t, t, 0), self._rhs(t, packets[0], j0, first, pre), t)
             return self._symbol(t, j0, first, pre, (u.reshape(n, n0),))
 
-        solver = self._window(first, t, bp)
+        solver = self._solver(first, t, bp)
         if isinstance(solver, _Composed):
             innov, checks = [], []
             for tau, packet in enumerate(packets, first):
                 y = gf2.BitVector.from_bits(self._rhs(tau, packet, j0, first, pre, innov))
-                z = self._steady(tau).ops.mul_vec(y).to_bits()
+                z = self._solver(tau, tau, 0).ops.mul_vec(y).to_bits()
                 innov.append(z[: n * n0].reshape(n, n0))
                 checks.append(z[n * n0 :])
             deep = _solve_bits(solver.reduced, np.concatenate(checks), t)
@@ -332,15 +333,18 @@ class BinCode:
                 cols = gf2.mul(cols, self.prod(layer, lo))
             yield h, i, cols.reshape(rows, n * self.widths[lo])
 
-    def _window(self, first: int, t: int, bp: int) -> gf2.PrefactoredSolver | _Composed:
-        """The cached solver of key (t, bp >= 1): composed, or stacked when
-        some time's innovation columns lack full column rank.  Its matrices
-        are fixed by the code and the key; only the right-hand side, which
-        folds in ``pre``, changes between decodes."""
-        key = self._key(t, bp)
-        got = self._solvers.get(key)
+    def _solver(self, first: int, t: int, bp: int) -> gf2.PrefactoredSolver | _Composed:
+        """The cached solver of key (t, bp), held in t's entry: with bp = 0
+        the steady solver of time t (first = t), over the innovation columns
+        H0_t of its hash; else the window of packets first..t, composed, or
+        stacked when some time's innovation columns lack full column rank.
+        Its matrices are fixed by the code and the key; only the right-hand
+        side, which folds in ``pre``, changes between decodes."""
+        solvers = self._time(t)[1]
+        got = solvers.get(bp)
         if got is None:
-            got = self._solvers[key] = self._compose(first, t, bp) or self._stack(first, t, bp)
+            got = self._compose(first, t, bp) if bp else None
+            got = solvers[bp] = got or self._stack(first, t, bp)
         return got
 
     def _certified(self) -> bool:
@@ -348,18 +352,8 @@ class BinCode:
         steady key, then the window of each erased count 1..B.  The keys do
         not depend on t, so the window after erasures 0..bp-1 stands for
         all; the solvers built here are the ones decoding reads."""
-        if not _full_rank(self._steady(0)):
-            return False
-        return all(_full_rank(self._window(bp, bp + self.W, bp)) for bp in range(1, self.B + 1))
-
-    def _steady(self, tau: int) -> gf2.PrefactoredSolver:
-        """The cached solver of key (tau, 0), over the innovation columns
-        H0_tau of the time-tau hash."""
-        key = self._key(tau, 0)
-        got = self._solvers.get(key)
-        if got is None:
-            got = self._solvers[key] = self._stack(tau, tau, 0)
-        return got
+        keys = [(0, 0, 0)] + [(bp, bp + self.W, bp) for bp in range(1, self.B + 1)]
+        return all(_full_rank(self._solver(*key)) for key in keys)
 
     def _stack(self, first: int, t: int, bp: int) -> gf2.PrefactoredSolver:
         """One solver over the stacked system of the packets first..t after
@@ -390,7 +384,7 @@ class BinCode:
         their rank deficit and their consistency, hence every decoded bit
         and every failure message.
         """
-        steadies = [self._steady(tau) for tau in range(first, t + 1)]
+        steadies = [self._solver(tau, tau, 0) for tau in range(first, t + 1)]
         if any(steady.rank < steady.cols for steady in steadies):
             return None
         d = self.doffs

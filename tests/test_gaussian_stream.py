@@ -290,6 +290,6 @@ def test_binned_pipeline_runs_a_certified_code_of_b_plus_1_eliminations(monkeypa
         reduced.clear()
         gaussian_pipeline(d, B, W, n=8, T=8, burst=(3, B), mode="binned", seed=4)
         (code,) = codes
-        assert code.attempt is not None and not code._packed
+        assert code.attempt is not None and list(code._times) == [None]
         assert len(reduced) <= (B + 1) * (code.attempt + 1)
-        assert len(code._solvers) == B + 1
+        assert len(code._times[None][1]) == B + 1

@@ -169,31 +169,6 @@ def test_solve_inconsistent_raises():
             gf2.solve(a2, b2)
 
 
-def test_invert_roundtrip_or_singular():
-    rng = np.random.default_rng(5)
-    n_ok = n_wide = 0
-    for trial in range(120):
-        # up to three words per row: the inverse is read from the prefactored
-        # [A | I], where I starts at the word after A's last
-        n = int(rng.integers(1, 151))
-        bits = rng.integers(0, 2, (n, n), dtype=np.uint8)
-        m = gf2.BitMatrix.from_bits(bits)
-        try:
-            inv = gf2.invert(m)
-        except ValueError as e:
-            assert str(e) == "singular"
-            assert dense_gauss(bits)[0] < n
-            continue
-        n_ok += 1
-        n_wide += n > 64
-        assert (m @ inv) == gf2.BitMatrix.identity(n)
-        assert (inv @ m) == gf2.BitMatrix.identity(n)
-    assert n_ok > 10 and n_wide > 5
-    assert gf2.invert(gf2.BitMatrix.zeros(0, 0)) == gf2.BitMatrix.zeros(0, 0)
-    with pytest.raises(ValueError, match="^singular$"):
-        gf2.invert(gf2.BitMatrix.from_bits(np.eye(2, 3, dtype=np.uint8)))
-
-
 def test_independent_rows_decomposition():
     rng = np.random.default_rng(3)
     for trial in range(120):

@@ -86,6 +86,18 @@ def test_hash_is_numpys_uniform_bit_draw_for_seed_and_time(n, r0_bits, packet_bi
             assert np.array_equal(code.matrix(t), want), (seed, t)
 
 
+def test_layer_products_are_the_int64_chain_of_the_maps():
+    spec = sources.random_diagonal_spec(np.random.default_rng(29), K=5, max_width=9)
+    code = prospicient.design_bincode(spec, 2, 3, 4, seed=1)
+    for lo in range(spec.K + 1):
+        want = np.eye(spec.widths[lo], dtype=np.int64)
+        for hi in range(lo, spec.K + 1):
+            if hi > lo:
+                want = spec.R[hi - 1].to_bits().astype(np.int64) @ want % 2
+            got = code.prod(hi, lo)
+            assert got.dtype == np.uint8 and np.array_equal(got, want), (hi, lo)
+
+
 def test_design_bincode_sizing_and_feasibility():
     rng = np.random.default_rng(3)
     spec = sources.random_diagonal_spec(rng, K=3)
@@ -438,8 +450,7 @@ def test_dropped_code_is_freed_without_the_cycle_collector():
         code = prospicient.design_bincode(spec, 1, 1, n, seed=15)
         out = run_decode(trace, spec, 1, 1, code, channel.single_burst(2, 1, T))
         check_outputs(trace, out, window=(2, 3))
-        built = len(code._solvers)
-        assert built > 0
+        assert held_solvers(code)
         ref = weakref.ref(code)
         del code
         assert ref() is None
@@ -469,8 +480,14 @@ def decode_or_failure(trace, spec, B, W, code, pattern, flip=None):
     return [None if o is None else tuple(layer.tobytes() for layer in o) for o in out]
 
 
+def held_solvers(code) -> dict:
+    """Every solver a code holds, by key (t, erased count); t is None in
+    the one entry of a shared hash."""
+    return {(t, bp): s for t, (_, solvers) in code._times.items() for bp, s in solvers.items()}
+
+
 def window_solvers(code) -> dict:
-    return {key: s for key, s in code._solvers.items() if key[1]}
+    return {key: s for key, s in held_solvers(code).items() if key[1]}
 
 
 def test_composed_windows_match_the_stacked_solve(monkeypatch):
@@ -563,8 +580,8 @@ def test_composed_windows_cache_a_tenth_of_the_stacked_bytes():
 
 def held_bytes(code) -> int:
     """Bytes of the hash and solver words a code holds."""
-    total = sum(m.words.nbytes for m in code._packed.values())
-    for s in code._solvers.values():
+    total = sum(m.words.nbytes for m, _ in code._times.values())
+    for s in held_solvers(code).values():
         if isinstance(s, prospicient._Composed):
             total += s.reduced.ops.words.nbytes + s.lift.words.nbytes
         else:
@@ -581,20 +598,21 @@ def periodic_bursts(T, period=16, first=5):
 
 @pytest.mark.parametrize("n", [4, 32], ids=["identity", "binned"])
 def test_code_memory_stays_flat_however_long_the_stream(n):
-    spec, held = deep_spec(), prospicient._HELD_TIMES
+    spec, B, W, held = deep_spec(), 1, 1, prospicient._HELD_TIMES
     sizes = []
     for T in (2 * held, 4 * held):
-        code = prospicient.design_bincode(spec, 1, 1, n, seed=11)
+        code = prospicient.design_bincode(spec, B, W, n, seed=11)
         assert code.identity_mode == (n == 4)
         trace = sources.gen_diagonal(spec, n, T, seed=42)
         pattern, window = periodic_bursts(T)
-        check_outputs(trace, run_decode(trace, spec, 1, 1, code, pattern), window)
+        check_outputs(trace, run_decode(trace, spec, B, W, code, pattern), window)
         if code.identity_mode:
-            # one hash for every time: one solver per erased count, nothing per time
-            assert not code._packed and len(code._solvers) <= 2
+            # one hash for every time: one entry, one solver per erased count
+            assert list(code._times) == [None] and len(held_solvers(code)) <= B + 1
         else:
-            assert len(code._packed) == held
-            assert {t for t, _ in code._solvers} <= code._packed.keys()
+            # one entry per held time, each with at most one solver per erased count
+            assert len(code._times) == held
+            assert len(held_solvers(code)) <= held * (B + 1)
         sizes.append(held_bytes(code))
     assert sizes[0] == sizes[1]
 
@@ -697,14 +715,14 @@ def test_certified_systems_are_the_same_at_every_time(monkeypatch):
 def test_certified_code_holds_one_hash_and_its_key_solvers(monkeypatch):
     spec, B, W, n, T = deep_spec(), 1, 1, 16, 64
     code = certified_code(spec, B, W, n)
-    assert len(code._solvers) == B + 1
+    assert list(code._times) == [None] and len(held_solvers(code)) == B + 1
     trace = sources.gen_diagonal(spec, n, T, seed=45)
     pattern, window = periodic_bursts(T)
     built = counting_solvers(monkeypatch)
     check_outputs(trace, run_decode(trace, spec, B, W, code, pattern), window)
     # design built every solver that decoding reads
     assert built == []
-    assert not code._packed and len(code._solvers) == B + 1
+    assert list(code._times) == [None] and len(held_solvers(code)) == B + 1
     assert code.packed(0) is code.packed(T - 1)
 
 
