@@ -188,7 +188,9 @@ def _parse_sweep(text: str) -> tuple[str, list[int]]:
             values = [int(x) for x in body.split(",")]
     except ValueError as exc:
         raise InvalidInput(f"bad sweep values: {text!r}") from exc
-    if not values or any(v < 0 for v in values):
+    if not values:
+        raise InvalidInput(f"sweep range is empty: {text!r}")
+    if any(v < 0 for v in values):
         raise InvalidInput("sweep values must be nonnegative")
     return name, values
 

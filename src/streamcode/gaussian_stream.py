@@ -37,7 +37,7 @@ import numpy as np
 from . import channel
 from .errors import InvalidInput, InvariantViolation
 from .prospicient import decode_stream, design_bincode, encode
-from .rates import _check_distortions, diagonal_rate, gaussian_rate
+from .rates import _check_distortions, _half_log2_inv, diagonal_rate, gaussian_rate
 from .sources import DiagonalSourceSpec, StreamTrace
 from . import gf2
 
@@ -95,14 +95,14 @@ class LayerRates:
     def total(self) -> float:
         """Transported bits per sample: full suffix once, deep suffixes
         amortized over the W+1 packets that repeat them."""
-        return self.cumulative[0] + sum(self.cumulative[1:]) / (self.W + 1)
+        return gaussian_rate(self.lag_targets, self.B, self.W)
 
 
 def layer_rates(d: Sequence[float], B: int, W: int) -> LayerRates:
     """Split the target distortions into per-layer rate increments."""
     lag = normalize_distortions(d, B, W)
     layer = (lag[0],) + tuple(lag[W + k] for k in range(1, B + 1))
-    cumulative = tuple(0.5 * math.log2(1.0 / x) for x in layer)
+    cumulative = tuple(_half_log2_inv(x) for x in layer)
     tilde = tuple(
         cumulative[j] - (cumulative[j + 1] if j < B else 0.0) for j in range(B + 1)
     )

@@ -32,11 +32,12 @@ the time-t hash is the top bit of each byte of the raw PCG64 stream
 seeded by [seed, t], which is bit for bit numpy's
 ``default_rng([seed, t]).integers(0, 2, (packet_bits, in_bits), dtype=np.uint8)``,
 and each decode fails with a small probability that ``delta`` bounds.
-The code also holds the layer-map products and one cache entry per time:
-the time's packed hash and its solvers, by erased count.  It holds the
-entries of its _HELD_TIMES most recently used times only, so its memory
-stays flat however long the stream runs; a time's hash and solvers are
-dropped together, and drawn and rebuilt on the time's next use.
+The code holds one cache entry per time: the time's packed hash and its
+solvers, by erased count (the layer-map products are the spec's own,
+``DiagonalSourceSpec.prod``).  It holds the entries of its _HELD_TIMES
+most recently used times only, so its memory stays flat however long the
+stream runs; a time's hash and solvers are dropped together, and drawn
+and rebuilt on the time's next use.
 
 A certified code (``design_bincode(..., certified=True)``) shares one
 hash across all times, so a system depends on its erased count alone:
@@ -101,9 +102,9 @@ class BinCode:
     ``attempt`` is, and packets carry the codeword verbatim (binning
     disabled).
 
-    The code also holds the codeword part widths, cached layer-to-layer map
-    products as dense bit arrays, and in ``_times`` one entry per time: its
-    packed hash and the solvers of ``solve_window`` by erased count bp.
+    The code also holds the codeword part widths and, in ``_times``, one
+    entry per time: its packed hash and the solvers of ``solve_window`` by
+    erased count bp.  The layer-map products are the spec's (``prod``).
     Key (t, 0) is the steady solver of time t, the building block of every
     decode; a recovery key (t, bp >= 1) is the window of bp erasures that
     ends at t, composed from the steady solvers of its times (a small
@@ -139,8 +140,6 @@ class BinCode:
         if not 0 <= self.packet_bits <= self.in_bits:
             raise InvalidInput("packet size must lie in [0, codeword bits]")
         self.identity_mode = self.packet_bits == self.in_bits
-        self._rbits = [None] + [m.to_bits() for m in self.spec.R]
-        self._prods: dict[tuple[int, int], np.ndarray] = {}
         # key (t, or None for a shared hash) -> (hash, {erased count: solver})
         self._times: dict[int | None, tuple[gf2.BitMatrix, dict]] = {}
 
@@ -192,36 +191,16 @@ class BinCode:
         flat = np.asarray(vec, np.uint8).reshape(-1)
         if flat.shape[0] != self.in_bits:
             raise InvalidInput("codeword size does not match the hash input")
-        # checks t in every mode, and marks it recent in a per-time code
-        hashed = self.packed(t)
-        if self.identity_mode:
-            return flat.copy()
-        return hashed.mul_vec(gf2.BitVector.from_bits(flat)).to_bits()
+        return self.packed(t).mul_vec(gf2.BitVector.from_bits(flat)).to_bits()
 
     def hash_trace(self, words: np.ndarray) -> list[np.ndarray]:
         """Packets of times 0..T-1 from a (T, n, r0_bits) codeword array:
         one product when every time reads the entry of a shared hash, else
         one per time."""
         flat = words.reshape(len(words), self.in_bits)
-        if self.identity_mode:
-            return list(flat)
         if len(flat) and self._time(0) is self._times.get(None):
             return list(gf2.mul(flat, self.matrix(0).T))
         return [self.hash_vec(t, w) for t, w in enumerate(words)]
-
-    def prod(self, hi: int, lo: int) -> np.ndarray:
-        """Dense product of the inter-layer maps from layer lo up to hi."""
-        assert 0 <= lo <= hi <= self.spec.K
-        if hi == lo:
-            return np.eye(self.widths[hi], dtype=np.uint8)
-        if hi == lo + 1:
-            return self._rbits[hi]
-        key = (hi, lo)
-        got = self._prods.get(key)
-        if got is None:
-            got = gf2.mul(self._rbits[hi], self.prod(hi - 1, lo))
-            self._prods[key] = got
-        return got
 
     def solve_window(
         self,
@@ -295,7 +274,7 @@ class BinCode:
         it, or None while it is unknown there."""
         h, i, lo = self._held(b, j0, first)
         src = held[h][i] if i < len(held[h]) else None
-        return src if src is None or layer == lo else gf2.mul(src, self.prod(layer, lo).T)
+        return src if src is None or layer == lo else gf2.mul(src, self.spec.prod(layer, lo).T)
 
     def _rhs(self, tau: int, packet: np.ndarray, j0: int, first: int, pre, innov=()) -> np.ndarray:
         """Packet tau less the hash of its known codeword parts, with
@@ -330,7 +309,7 @@ class BinCode:
                 continue
             cols = h3[:, :, self.offs[k] : self.offs[k + 1]]
             if layer != lo:
-                cols = gf2.mul(cols, self.prod(layer, lo))
+                cols = gf2.mul(cols, self.spec.prod(layer, lo))
             yield h, i, cols.reshape(rows, n * self.widths[lo])
 
     def _solver(self, first: int, t: int, bp: int) -> gf2.PrefactoredSolver | _Composed:
@@ -505,7 +484,7 @@ def encode(
     if [a.shape for a in layers] != [(trace.T, bincode.n, w) for w in spec.widths]:
         raise InvalidInput("trace layers must be (T, n, N_j) arrays for the spec and code")
     parts = [layers[0]] + [
-        gf2.mul(layers[k], bincode.prod(W + k, k).T) for k in range(1, B + 1)
+        gf2.mul(layers[k], bincode.spec.prod(W + k, k).T) for k in range(1, B + 1)
     ]
     words = np.concatenate(parts, axis=2)
     return PacketStream(spec=spec, B=B, W=W, packets=bincode.hash_trace(words))

@@ -76,17 +76,20 @@ def _check_widths(N: Sequence[int]) -> list[int]:
     return [int(w) for w in widths]
 
 
+def _window_rate(values: Sequence, B: int, W: int):
+    """v_0 plus the window average of the deep values v_{W+1}..v_{W+B}
+    that the list holds: the rate shape every layered scheme shares."""
+    if B < 0 or W < 0:
+        raise InvalidInput("B and W must be nonnegative")
+    deep = values[W + 1 : W + B + 1]
+    return values[0] + sum(deep, 0 * values[0]) / (W + 1)
+
+
 def diagonal_rate(N: Sequence[int], B: int, W: int) -> Fraction:
     """Exact optimal rate (in bits per symbol) for a layered linear source
     with sub-symbol widths N_0..N_K: the innovation width plus the window-
     averaged widths of the sub-symbols that must be retransmitted."""
-    widths = _check_widths(N)
-    if B < 0 or W < 0:
-        raise InvalidInput("B and W must be nonnegative")
-    K = len(widths) - 1
-    upper = min(K - W, B)
-    total = sum(widths[W + k] for k in range(1, upper + 1))
-    return Fraction(widths[0]) + Fraction(total, W + 1)
+    return _window_rate([Fraction(w) for w in _check_widths(N)], B, W)
 
 
 def _check_distortions(d: Sequence[float]) -> list[float]:
@@ -106,13 +109,7 @@ def _half_log2_inv(x: float) -> float:
 
 def gaussian_rate(d: Sequence[float], B: int, W: int) -> float:
     """Lossy recovery rate for the layered Gaussian scheme."""
-    vals = _check_distortions(d)
-    if B < 0 or W < 0:
-        raise InvalidInput("B and W must be nonnegative")
-    K = len(vals) - 1
-    upper = min(K - W, B)
-    tail = sum(_half_log2_inv(vals[W + k]) for k in range(1, upper + 1))
-    return _half_log2_inv(vals[0]) + tail / (W + 1)
+    return _window_rate([_half_log2_inv(x) for x in _check_distortions(d)], B, W)
 
 
 def baseline_rates(d: Sequence[float], B: int, W: int) -> tuple[float, float, float]:

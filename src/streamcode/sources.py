@@ -38,6 +38,7 @@ class DiagonalSourceSpec:
         for j, m in enumerate(self.R, start=1):
             if m.shape != (self.widths[j], self.widths[j - 1]):
                 raise InvalidInput(f"map into layer {j} has the wrong shape")
+        object.__setattr__(self, "_prods", {})
 
     @property
     def K(self) -> int:
@@ -53,10 +54,24 @@ class DiagonalSourceSpec:
         """Depth-j map from the innovation layer: identity for j = 0."""
         if not 0 <= j <= self.K:
             raise InvalidInput("layer index out of range")
-        acc = gf2.BitMatrix.identity(self.widths[0])
-        for step in range(j):
-            acc = self.R[step] @ acc
-        return acc
+        return gf2.BitMatrix.from_bits(self.prod(j, 0))
+
+    def prod(self, hi: int, lo: int) -> np.ndarray:
+        """Product of the maps from layer lo up to layer hi, as a read-only
+        dense bit array, cached: the one chain that the generator, the
+        encoder and the decoder read."""
+        assert 0 <= lo <= hi <= self.K
+        got = self._prods.get((hi, lo))
+        if got is None:
+            if hi == lo:
+                got = np.eye(self.widths[hi], dtype=np.uint8)
+            elif hi == lo + 1:
+                got = self.R[lo].to_bits()
+            else:
+                got = gf2.mul(self.prod(hi, hi - 1), self.prod(hi - 1, lo))
+            got.flags.writeable = False
+            self._prods[hi, lo] = got
+        return got
 
     def to_json(self) -> dict:
         return {
@@ -155,7 +170,7 @@ def gen_diagonal(spec: DiagonalSourceSpec, n: int, T: int, seed: int) -> StreamT
     sub: list[np.ndarray] = []
     tail: list[np.ndarray] = []
     for j in range(K + 1):
-        mapped = gf2.mul(innov[K - j : len(innov) - j], spec.composed(j).to_bits().T)
+        mapped = gf2.mul(innov[K - j : len(innov) - j], spec.prod(j, 0).T)
         tail.append(mapped[:K])
         sub.append(mapped[K:])
     return StreamTrace(

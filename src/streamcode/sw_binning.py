@@ -362,12 +362,15 @@ def periodic_delay_run(
     Returns one tuple per time: ("recovered", block) | ("window",) |
     ("pending",).
     """
+    if B < 0:
+        raise InvalidInput("B must be nonnegative")
+    if T < 0:
+        raise InvalidInput("T must be nonnegative")
     p = B + T + 1
     pattern = channel.periodic(p, B, horizon)
     rng = np.random.default_rng([seed])
     path = sample_path(chain, n, horizon, rng)
     a = chain.alphabet_size
-    powers = a ** np.arange(n - 1, -1, -1, dtype=np.int64)
     out: list[tuple] = [("pending",)] * horizon
     for t in range(horizon):
         if pattern.is_erased(t):

@@ -124,6 +124,29 @@ def test_simulate_det_tallies_failures_without_mismatches(capsys):
     assert all(int(r["failures"]) > 0 and r["mismatches"] == "0" for r in rows)
 
 
+def test_simulate_det_counts_mismatches_outside_the_window_only(capsys, monkeypatch):
+    real = cli.decode_stream
+
+    def corrupted(stream, bincode, tail):
+        # with B = W = 1, a burst at time 0 puts times 0 and 1 in the window:
+        # a wrong symbol there is not counted, a wrong or missing one at
+        # times 3 and 4 is
+        outs = real(stream, bincode, tail)
+        outs[1] = outs[3] = [layer ^ 1 for layer in tail]
+        outs[4] = None
+        return outs
+
+    monkeypatch.setattr(cli, "decode_stream", corrupted)
+    code, out, _ = run_cli(
+        ["simulate-det", "--widths", "2,1", "--B", "1", "--W", "1", "--n", "8",
+         "--T", "6", "--trials", "1"],
+        capsys,
+    )
+    assert code == 0
+    first = parse_csv(out)[0]
+    assert (first["start"], first["failures"], first["mismatches"]) == ("0", "0", "2")
+
+
 def test_simulate_det_jobs_do_not_change_output(capsys):
     argv = ["simulate-det", "--widths", "2,1", "--B", "1", "--W", "0",
             "--n", "16", "--T", "4", "--trials", "2"]
@@ -392,6 +415,17 @@ def test_exit_codes(capsys, tmp_path):
         capsys,
     )
     assert code == 2 and "longer" in err
+    # each refusal names the problem of its own input
+    for argv, problem in (
+        (["rates", "--flip", "0.25", "--sweep", "W=3..1"], "sweep range is empty"),
+        (["oracle", "--flip", "0.25", "--periodic", "--T", "-1", "--rate", "1"],
+         "T must be nonnegative"),
+        (["oracle", "--flip", "0.25", "--periodic", "--B", "-1", "--rate", "1"],
+         "B must be nonnegative"),
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: {problem}"), argv
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 3

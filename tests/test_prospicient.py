@@ -69,6 +69,8 @@ def test_bincode_matrices_reproducible_and_time_varying():
     for c in (code, ident):
         with pytest.raises(InvalidInput, match="packet times are nonnegative"):
             c.hash_vec(-1, vec)
+        with pytest.raises(InvalidInput, match="codeword size does not match the hash input"):
+            c.hash_vec(1, vec[:, :2])
 
 
 @pytest.mark.parametrize(
@@ -88,13 +90,12 @@ def test_hash_is_numpys_uniform_bit_draw_for_seed_and_time(n, r0_bits, packet_bi
 
 def test_layer_products_are_the_int64_chain_of_the_maps():
     spec = sources.random_diagonal_spec(np.random.default_rng(29), K=5, max_width=9)
-    code = prospicient.design_bincode(spec, 2, 3, 4, seed=1)
     for lo in range(spec.K + 1):
         want = np.eye(spec.widths[lo], dtype=np.int64)
         for hi in range(lo, spec.K + 1):
             if hi > lo:
                 want = spec.R[hi - 1].to_bits().astype(np.int64) @ want % 2
-            got = code.prod(hi, lo)
+            got = spec.prod(hi, lo)
             assert got.dtype == np.uint8 and np.array_equal(got, want), (hi, lo)
 
 
@@ -373,6 +374,18 @@ def test_code_refuses_another_spec_with_equal_widths():
     assert again is not spec
     out = run_decode(trace, again, 1, 1, code, channel.single_burst(3, 1, T))
     check_outputs(trace, out, window=(3, 4))
+
+
+def test_packet_of_the_wrong_size_is_an_input_error():
+    spec = sources.DiagonalSourceSpec((3, 2, 1), (bm([[1, 0, 0], [0, 1, 0]]), bm([[1, 0]])))
+    n = 16
+    trace = sources.gen_diagonal(spec, n, 2, seed=26)
+    code = prospicient.design_bincode(spec, 1, 1, n, seed=13)
+    packet = prospicient.encode(trace, spec, 1, 1, code).packets[0]
+    state = prospicient.DecoderState.initial(symbol_at(trace, -1))
+    with pytest.raises(InvalidInput, match="packet size does not match the bin code"):
+        prospicient.decode_step(state, packet[:-1], spec, 1, 1, code)
+    assert state.time == 0
 
 
 def test_undersized_packets_raise_decode_failure():

@@ -111,7 +111,8 @@ def test_diagonal_rate_examples():
     for N in ([4], [3, 2], [2, 2, 1]):
         K = len(N) - 1
         for W in range(K, K + 3):
-            assert rates.diagonal_rate(N, 2, W) == Fraction(N[0])
+            got = rates.diagonal_rate(N, 2, W)
+            assert isinstance(got, Fraction) and got == Fraction(N[0])
     assert isinstance(rates.diagonal_rate([3, 2, 1], 1, 1), Fraction)
 
 
@@ -188,3 +189,12 @@ def test_validation():
         rates.diagonal_rate([2, -1], 1, 0)
     with pytest.raises(InvalidInput):
         rates.diagonal_rate([], 1, 0)
+    layered = (
+        (rates.diagonal_rate, [2, 1]),
+        (rates.gaussian_rate, (0.5, 0.6)),
+        (rates.baseline_rates, (0.5, 0.6)),
+    )
+    for rate, first in layered:
+        for B, W in ((-1, 0), (0, -1)):
+            with pytest.raises(InvalidInput, match="^B and W must be nonnegative$"):
+                rate(first, B, W)

@@ -126,6 +126,9 @@ def test_spec_validation():
         bad.validate()
     with pytest.raises(InvalidInput):
         sources.DiagonalSourceSpec(widths=(2, 2), R=(gf2.BitMatrix.zeros(1, 2),))
+    for j in (-1, spec.K + 1):
+        with pytest.raises(InvalidInput, match="layer index out of range"):
+            spec.composed(j)
     with pytest.raises(InvalidInput):
         sources.SemiDetSpec(N0=2, Nd=1, A=gf2.BitMatrix.zeros(2, 2), B=gf2.BitMatrix.zeros(1, 1))
 

@@ -210,3 +210,8 @@ def test_periodic_delay_run_with_deterministic_chain_is_exact():
             status, block = out[t]
             assert status == "recovered"
             assert block == tuple(path[t + 1])
+    # a horizon that cuts the last period off leaves its survivors pending
+    cut = sw_binning.periodic_delay_run(
+        chain, B=2, T=1, rate_bits=0.5, n=n, horizon=horizon - 1, seed=seed
+    )
+    assert cut == out[:8] + [("window",), ("window",), ("pending",)]
