@@ -270,8 +270,7 @@ _DET = [
 
 def _det_trial(payload: tuple) -> tuple[int, int]:
     """One stream: returns (decode_failures, bit_mismatches outside window)."""
-    spec_json, p, start, blen, trial_seed = payload
-    spec = DiagonalSourceSpec.from_json(spec_json)
+    spec, p, start, blen, trial_seed = payload
     B, W, T = p.B, p.W, p.T
     trace = gen_diagonal(spec, p.n, T, seed=trial_seed)
     bincode = design_bincode(spec, B, W, p.n, delta=p.delta, seed=trial_seed)
@@ -313,7 +312,7 @@ def cmd_simulate_det(p: argparse.Namespace) -> None:
     trials = p.trials
     # the lookahead code plans one deep layer per burst slot, so the spec
     # must sit at depth exactly B+W; pad or truncate before fanning out
-    spec_json = normalize_K(spec, p.B, p.W).spec.to_json()
+    spec = normalize_K(spec, p.B, p.W).spec
     configs = [
         (start, blen)
         for blen in range(1, p.B + 1)
@@ -323,7 +322,7 @@ def cmd_simulate_det(p: argparse.Namespace) -> None:
     for start, blen in configs:
         for i in range(trials):
             ss = np.random.SeedSequence(entropy=p.seed, spawn_key=(start, blen, i))
-            payloads.append((spec_json, p, start, blen, int(ss.generate_state(1)[0])))
+            payloads.append((spec, p, start, blen, int(ss.generate_state(1)[0])))
     results = _map_jobs(_det_trial, payloads, p.jobs)
     rows = []
     idx = 0

@@ -11,12 +11,13 @@ burst-robust transport as any other layered source.  After a burst of up
 to B packet losses the decoder resumes at full quality W+1 packets later,
 while older samples remain reconstructable at the coarser targets.
 
-Two transports are available: "ideal" tracks which digit blocks each
-packet carries and delivers them verbatim (delivery bookkeeping only),
-"binned" actually hashes the rearranged bit source into packets and runs
-the streaming decoder, so every delivered bit is solved from the hashes.
-Its code is certified: one hash shared by every time, checked at design
-time, so it decodes every burst within the (B, W) contract.
+Both transports serve exactly the times outside the channel's recovery
+window.  "ideal" serves them straight from the digit blocks and skips the
+transport; "binned" actually hashes the rearranged bit source into packets
+and runs the streaming decoder, so every delivered bit is solved from the
+hashes, and checks by decoding that it serves that same set.  Its code is
+certified: one hash shared by every time, checked at design time, so it
+decodes every burst within the (B, W) contract.
 
 Subtractive dither is drawn uniform over the *coarsest* cell of each
 sample's grid.  Because every finer step divides the coarsest one exactly,
@@ -367,6 +368,13 @@ def sr_decode(
     return ((f + 0.5) * step[None, :] - u).ravel()
 
 
+def _layout(B: int, W: int) -> tuple[tuple[int, int], ...]:
+    """(lag, digit layer) of each layer of the rearranged source: the last
+    W+1 packets carry a time's full digit block, and the suffix from digit
+    layer k rides once more at lag W + k."""
+    return tuple((ell, 0) for ell in range(W + 1)) + tuple((W + k, k) for k in range(1, B + 1))
+
+
 def layer_rearrange(codec: SRCodec, blocks: np.ndarray) -> tuple[DiagonalSourceSpec, StreamTrace]:
     """Rearrange per-time digit blocks into a layered linear bit source.
 
@@ -392,50 +400,33 @@ def layer_rearrange(codec: SRCodec, blocks: np.ndarray) -> tuple[DiagonalSourceS
     if total != offs[-1]:
         raise InvalidInput("block width does not match the codec layout")
     spec = source_spec(codec, n)
-    sub: list[np.ndarray] = []
-    tail: list[np.ndarray] = []
-    for ell in range(W + 1):
-        rows = blk[lead - ell : lead - ell + T]
-        sub.append(rows[:, None, :])
-        tail.append(blk[lead - K - ell : lead - ell][:, None, :])
-    for k in range(1, B + 1):
-        rows = blk[lead - W - k : lead - W - k + T, offs[k] :]
-        sub.append(rows[:, None, :])
-        tail.append(blk[lead - K - W - k : lead - W - k][:, None, offs[k] :])
+    layout = _layout(B, W)
     trace = StreamTrace(
         kind="diagonal",
         n=1,
         T=T,
         widths=spec.widths,
-        sub=sub,
-        tail=[t.copy() for t in tail],
+        sub=[blk[lead - lag : lead - lag + T, None, offs[k] :] for lag, k in layout],
+        tail=[blk[lead - K - lag : lead - lag, None, offs[k] :].copy() for lag, k in layout],
     )
     return spec, trace
 
 
 def source_spec(codec: SRCodec, n: int) -> DiagonalSourceSpec:
     """Layered-source description of the rearranged digit stream."""
-    B, W = codec.rates.B, codec.rates.W
     offs = codec.block_offsets(n)
-    total = offs[-1]
-    layer_w = [total] * (W + 1) + [total - offs[k] for k in range(1, B + 1)]
-    maps: list[gf2.BitMatrix] = []
-    for _ in range(W):
-        maps.append(gf2.BitMatrix.identity(total))
-    prev = total
-    for k in range(1, B + 1):
-        rows = total - offs[k]
-        maps.append(gf2.BitMatrix.from_bits(np.eye(rows, prev, prev - rows, dtype=np.uint8)))
-        prev = rows
-    return DiagonalSourceSpec(widths=tuple(layer_w), R=tuple(maps))
+    w = [offs[-1] - offs[k] for _, k in _layout(codec.rates.B, codec.rates.W)]
+    maps = [
+        gf2.BitMatrix.from_bits(np.eye(w[j], w[j - 1], w[j - 1] - w[j], dtype=np.uint8))
+        for j in range(1, len(w))
+    ]
+    return DiagonalSourceSpec(widths=tuple(w), R=tuple(maps))
 
 
 def expected_delivery(t: int, B: int, W: int) -> tuple[tuple[int, int], ...]:
     """Digit blocks a decoder holds for output time t: the full blocks of
     the last W+1 times plus one coarse suffix per deeper lag."""
-    full = tuple((t - ell, 0) for ell in range(W + 1))
-    deep = tuple((t - W - k, k) for k in range(1, B + 1))
-    return full + deep
+    return tuple((t - lag, k) for lag, k in _layout(B, W))
 
 
 @dataclass
@@ -479,9 +470,11 @@ def gaussian_pipeline(
     d, B, W : targets and channel design bounds.
     n, T : samples per time block and number of streamed blocks.
     burst : None (no erasure) or a (start, length) pair of one burst.
-    mode : "ideal" delivers digit blocks verbatim and only tracks which
-        packets carried them; "binned" hashes the rearranged bit source
-        into packets and runs the streaming decoder on what survives.
+    mode : both serve exactly the times outside the recovery window.
+        "ideal" serves them from the digit blocks and skips the transport;
+        "binned" hashes the rearranged bit source into packets, runs the
+        streaming decoder on what survives and checks that it decodes
+        every one of those times, bit-exact.
     delta : extra packet bits above the rate floor (binned accounting);
         a negative delta would put the packet below the floor and is
         refused in both modes.  The binned code is certified (see
@@ -522,34 +515,19 @@ def gaussian_pipeline(
     )
     offs = codec.block_offsets(n)
 
-    if mode == "ideal":
-        # packet i carries the full block of time i and the suffix from layer
-        # k of time i - k, so block (src, layer) is held once any packet in
-        # [src, src + layer] arrived; negative times are revealed history
-        served = [
-            all(
-                src < 0 or any(i not in pattern.erased for i in range(src, src + layer + 1))
-                for src, layer in expected_delivery(t, B, W)
-            )
-            for t in range(T)
-        ]
-    else:
+    if mode == "binned":
         spec, trace = layer_rearrange(codec, blocks)
         bincode = design_bincode(spec, B, W, n=1, delta=delta, seed=seed, certified=True)
         stream = encode(trace, spec, B, W, bincode).with_erasures(pattern)
         # time -1 is revealed history; a K = 0 source has none and needs none
         tail_symbol = [layer[-1] for layer in trace.tail] if trace.tail_depth else []
-        outs = decode_stream(stream, bincode, tail_symbol)
-        served = [out is not None for out in outs]
-        for t, out in enumerate(outs):
+        for t, out in enumerate(decode_stream(stream, bincode, tail_symbol)):
+            if out is None and t not in window:
+                raise InvariantViolation(f"time {t} undelivered outside any recovery window")
             if out is not None and not all(
                 np.array_equal(sym, trace.symbol(t, j)) for j, sym in enumerate(out)
             ):
                 raise InvariantViolation(f"decoded bits diverge from the encoder at time {t}")
-
-    for t in range(T):
-        if not served[t] and t not in window:
-            raise InvariantViolation(f"time {t} undelivered outside any recovery window")
 
     # a block serves every output time that holds it, so decode it once
     @functools.cache
@@ -558,13 +536,10 @@ def gaussian_pipeline(
         xh = sr_decode(codec, bits, n=n, from_layer=layer, time=src, seed=seed)
         return float(np.mean((xh - samples[lead + src]) ** 2))
 
+    delivered = {t: expected_delivery(t, B, W) for t in range(T) if t not in window}
     mse = np.full((T, K + 1), np.nan)
-    delivered: dict[int, tuple[tuple[int, int], ...]] = {}
-    for t in range(T):
-        if not served[t]:
-            continue
-        delivered[t] = expected_delivery(t, B, W)
-        for lag, block in enumerate(delivered[t]):
+    for t, held in delivered.items():
+        for lag, block in enumerate(held):
             mse[t, lag] = block_mse(*block)
 
     lag_mse = tuple(
@@ -576,8 +551,7 @@ def gaussian_pipeline(
         for v, tgt in zip(lag_mse, rates_split.lag_targets)
     )
 
-    cum = [sum(codec.fracs[j:], start=Fraction(0)) for j in range(B + 1)]
-    formula_widths = [n * cum[0]] * (W + 1) + [n * cum[k] for k in range(1, B + 1)]
+    formula_widths = [n * sum(codec.fracs[k:], start=Fraction(0)) for _, k in _layout(B, W)]
     if any(fw.denominator != 1 for fw in formula_widths):
         raise InvariantViolation("rate grid does not divide the block length")
     formula_widths = tuple(int(fw) for fw in formula_widths)
@@ -585,7 +559,7 @@ def gaussian_pipeline(
     closed = gaussian_rate(rates_split.lag_targets, B, W)
     if abs(float(dr) / n - closed) > 1e-6 * max(1.0, closed):
         raise InvariantViolation("rate accounting diverged from the closed form")
-    wire_widths = tuple([offs[-1]] * (W + 1) + [offs[-1] - offs[k] for k in range(1, B + 1)])
+    wire_widths = tuple(offs[-1] - offs[k] for _, k in _layout(B, W))
     wire_rate = diagonal_rate(wire_widths, B, W)
     packet_bits = bincode.packet_bits if mode == "binned" else math.ceil(dr) + delta
     rate = {

@@ -311,11 +311,12 @@ def lb_transform(
     for j in range(1, K + 1):
         l = K - j
         sub = gf2.BitMatrix.from_bits(blk(psi, l + 1, l))
+        # every block right of the sub-diagonal in one solve: pivots depend
+        # on sub alone, so each column solves as it would on its own
+        right = gf2.BitMatrix.from_bits(psi[rows[l] : rows[l + 1], cols[l + 1] :])
         d = np.eye(total, dtype=np.uint8)
-        for k in range(1, j + 1):
-            target = gf2.BitMatrix.from_bits(blk(psi, l + 1, l + k))
-            x = gf2.solve(sub, target)  # full row rank: always consistent
-            d[cols[l] : cols[l + 1], cols[l + k] : cols[l + k + 1]] = x.to_bits()
+        x = gf2.solve(sub, right)  # full row rank: always consistent
+        d[cols[l] : cols[l + 1], cols[l + 1] :] = x.to_bits()
         psi = gf2.mul(gf2.mul(d[n0:, n0:], psi), d)  # d is its own inverse over GF(2)
         m = gf2.mul(d, m)
         m_inv = gf2.mul(m_inv, d)

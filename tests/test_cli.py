@@ -243,12 +243,13 @@ def test_transform_one_shot_route_runs_three_eliminations(capsys, monkeypatch):
     assert artifact["route"] == "one-shot" and count == 3
 
 
-def test_transform_three_layer_peel_runs_seven_eliminations(capsys, monkeypatch):
+def test_transform_three_layer_peel_runs_six_eliminations(capsys, monkeypatch):
     # lf_transform: one independent-row split per round (two rounds);
-    # lb_transform: two sub-diagonal ranks and three coupling solves; the
-    # derived maps are those ranked blocks, and no map inverts its matrix
+    # lb_transform: two sub-diagonal ranks and one coupling solve per row
+    # block (two rows); the derived maps are those ranked blocks, and no
+    # map inverts its matrix
     count, artifact = count_eliminations(["transform", "--random-seed", "5"], capsys, monkeypatch)
-    assert artifact["derived"]["widths"] == [4, 3, 2] and count == 7
+    assert artifact["derived"]["widths"] == [4, 3, 2] and count == 6
 
 
 # SHA-256 of stdout for cheap fixed-seed runs whose output is only integers

@@ -144,6 +144,22 @@ def test_expected_delivery_layout():
     assert expected_delivery(3, 0, 2) == ((3, 0), (2, 0), (1, 0))
 
 
+@pytest.mark.parametrize("B, W", [(B, W) for B in range(3) for W in range(3)])
+def test_rearranged_layer_j_is_the_jth_expected_block(B, W):
+    # every digit layer carries rate, so each suffix is a distinct slice
+    d = (0.25,) * (W + 1) + tuple(0.25 * 2 ** (k / 2) for k in range(1, B + 1))
+    codec = sr_codec(layer_rates(d, B, W))
+    offs = codec.block_offsets(8)
+    lead, T = 2 * (B + W), 5
+    rng = np.random.default_rng(3 * B + W)
+    blocks = rng.integers(0, 2, (lead + T, offs[-1]), dtype=np.uint8)
+    _, trace = layer_rearrange(codec, blocks)
+    assert trace.tail_depth == B + W
+    for t in range(-trace.tail_depth, T):
+        for j, (src, k) in enumerate(expected_delivery(t, B, W)):
+            assert np.array_equal(trace.symbol(t, j)[0], blocks[lead + src, offs[k] :]), (t, j)
+
+
 def test_pipeline_clean_channel_serves_everything():
     rep = gaussian_pipeline(ACCEPT_D, 1, 1, n=64, T=10, mode="ideal", seed=1)
     assert rep.skipped == ()
